@@ -2,8 +2,9 @@
 
 Commands emit CSV (default) or JSON tables with deterministic content for
 a fixed flag set and seed. Probabilities may be given as exact rationals
-("1/2"), which routes computation through big-rational arithmetic;
-decimal inputs ("0.5") use the float path and print a note to stderr.
+("1/2"), which routes computation through big-rational arithmetic up to
+the exact size limits; decimal inputs ("0.5"), and rationals beyond those
+limits, use the float path and print a note to stderr.
 
 Exit codes: 0 success, 2 usage or validation error, 3 cost-guard refusal,
 4 internal numerical failure.
@@ -112,6 +113,9 @@ def _cmd_pc_table(args) -> int:
     if args.exact and args.nmax > EXACT_TABLE_LIMIT:
         raise CostGuardError(f"exact table refused for nmax > {EXACT_TABLE_LIMIT}")
     use_exact = exact and args.nmax <= EXACT_TABLE_LIMIT
+    if exact and not use_exact:
+        print(f"note: rational probability {args.p} uses the float path for nmax > {EXACT_TABLE_LIMIT}",
+              file=sys.stderr)
     session = connectivity.ConnectivitySession(p if use_exact else float(p))
     rows = []
     for n in range(2, args.nmax + 1):
@@ -127,6 +131,9 @@ def _cmd_pc_curve(args) -> int:
         raise UsageError("--nmax must be >= 1")
     if args.nmax > 400:
         raise CostGuardError("curve refused for nmax > 400")
+    if args.nmax > connectivity.EXACT_CURVE_LIMIT and any(isinstance(p, Fraction) for p in p_list):
+        print(f"note: rational probabilities use the float path for nmax > {connectivity.EXACT_CURVE_LIMIT}",
+              file=sys.stderr)
     per_p = args.out and "{p}" in args.out
     all_rows = []
     for p in p_list:

@@ -11,18 +11,18 @@ this module evaluates
 * the connectivity probability of the undirected G(n, p) model, and
 * an exponential lower bound useful for large ``n``.
 
-The core algorithm is an inclusion-exclusion recursion over integer
-partitions: a non-strongly-connected digraph decomposes uniquely into at
-least two maximal strongly connected pieces whose quotient graph is
-acyclic, so the disconnection probability is a sum over partitions of
-``n`` weighted by the number of labeled decompositions, the per-piece
-connectivity probabilities and the acyclic-interconnect probability.
+The core algorithm is a reachability factorization (see
+``ConnectivitySession``): conditioning on the set of vertices that reach
+a fixed vertex gives P_C(n) in O(n^3) operations from two auxiliary
+reachability recurrences. One code path serves every number type, so the
+result is exact (``fractions.Fraction``) when ``p`` is a ``Fraction`` and
+IEEE-754 binary64 when ``p`` is a float.
 
-Arithmetic is exact (``fractions.Fraction``) when ``p`` is a ``Fraction``
-and IEEE-754 binary64 when ``p`` is a float. The float path swaps the
-partition sum for an O(n^3) reachability factorization (condition on the
-co-reach set of a fixed vertex), which keeps large-``n`` curves cheap; the
-two routes are cross-checked against each other in the test suite.
+The partition view of the same quantity (a non-strongly-connected digraph
+splits uniquely into at least two maximal strongly connected pieces whose
+quotient graph is acyclic) survives as ``enumerate_partitions``,
+``count_labeled_decompositions`` and ``prob_acyclic_interconnect``; the
+test suite assembles them into an independent exact oracle.
 """
 
 from __future__ import annotations
@@ -111,35 +111,60 @@ def _check_open_unit(p: Prob) -> None:
 class ConnectivitySession:
     """Memoized evaluator of connectivity probabilities at a fixed edge probability.
 
-    One session holds the memo tables for a single ``p``; sessions are
-    independent of each other, so distinct sessions may be used freely from
-    concurrent threads. Exact rational arithmetic is used when ``p`` is a
-    ``Fraction``, floats otherwise.
+    One session holds the memo tables for a single ``p``; distinct sessions
+    may be used freely from concurrent threads. All arithmetic happens in
+    the number type of ``p`` (exact for a ``Fraction``, binary64 for a
+    float) on one code path. With q = 1 - p, three recurrences, each
+    conditioning on an exact reached set, give strong connectivity:
+
+    * R(n) = 1 - sum_{k<n} C(n-1, k-1) R(k) q^(k(n-k)), the probability
+      that vertex 1 reaches every vertex;
+    * U(t, w) = 1 - sum_{y<w} C(w, y) U(t, y) q^((t+y)(w-y)), the
+      probability that a mutually reachable block of t vertices reaches all
+      of w outside vertices;
+    * P_C(n) = R(n) - sum_{t<n} C(n-1, t-1) P_C(t) q^(t(n-t)) U(t, n-t):
+      with T the co-reach set of vertex 1, vertex 1 reaches everything iff
+      no arc enters T, T is strongly connected and T spreads to the rest.
+
+    The disconnection probability is the sum of the non-negative parts,
+    (1 - R(n)) + sum_t(...), so it stays accurate in floats where
+    1 - P_C(n) rounds to zero. The recurrences share one table of powers of
+    q and one binomial row per size; P_C(n) costs O(n^3) operations.
     """
 
     def __init__(self, p: Prob):
         _check_open_unit(p)
         self.p = p
         self.exact = isinstance(p, Fraction)
-        one = Fraction(1) if self.exact else 1.0
-        self._one = one
+        self._one = one = type(p)(1)
         self._q = 1 - p  # probability that a given arc is absent
-        self._qpow: dict[int, Prob] = {0: one}
+        self._qpow: list[Prob] = []
+        self._binom: dict[int, list[Prob]] = {}
         self._acyclic: dict[tuple[int, ...], Prob] = {(): one}
-        self._strong: dict[int, Prob] = {1: one}
-        # float-path tables: P(vertex 1 reaches everything) and the spread
-        # probabilities P(a t-vertex mutually reachable block reaches all of
-        # w outsiders), grown on demand
-        self._reach_all: list[float] = [0.0, 1.0]
-        self._spread: dict[int, list[float]] = {}
+        # entry n belongs to n vertices; index 0 is a placeholder
+        self._reach: list[Prob] = [one, one]
+        self._strong: list[Prob] = [one, one]
+        self._disc: list[Prob] = [one, one - one]
+        self._spread: dict[int, list[Prob]] = {}
 
-    # -- powers of (1 - p), heavily reused across partition terms --
-    def _qp(self, e: int) -> Prob:
-        val = self._qpow.get(e)
-        if val is None:
-            val = self._q ** e
-            self._qpow[e] = val
-        return val
+    def _powers(self, e_max: int) -> list[Prob]:
+        """The shared table of q^e, each entry computed as ``q ** e``, grown to e_max."""
+        pw = self._qpow
+        while len(pw) <= e_max:
+            pw.append(self._q ** len(pw))
+        return pw
+
+    def _binom_row(self, n: int) -> list[Prob]:
+        """C(n, j) for j = 0..n in the number type of ``p``."""
+        row = self._binom.get(n)
+        if row is None:
+            one = c = self._one
+            row = [c]
+            for j in range(n):
+                c *= one * (n - j) / (j + 1)
+                row.append(c)
+            self._binom[n] = row
+        return row
 
     def prob_acyclic_interconnect(self, parts: Sequence[int]) -> Prob:
         """Probability that arcs between the given vertex groups form no directed cycle.
@@ -168,6 +193,7 @@ class ConnectivitySession:
         for s, grp in groupby(parts):
             sizes.append(s)
             counts.append(len(tuple(grp)))
+        qpow = self._powers(n * n)
         total = 0
         for choice in product(*(range(c + 1) for c in counts)):
             chosen = sum(choice)
@@ -185,95 +211,53 @@ class ConnectivitySession:
                 residual.extend([s] * (c - j))
             # forbidden arcs: every chosen group loses all m_i(n - m_i)
             # of its outgoing arcs, which totals m*n - sum(m_i^2)
-            term = coeff * self._qp(m * n - sqsum) * self._acyclic_rec(tuple(residual))
+            term = coeff * qpow[m * n - sqsum] * self._acyclic_rec(tuple(residual))
             total = total + term if chosen % 2 else total - term
         memo[parts] = total
         return total
 
     def prob_strongly_connected(self, n: int) -> Prob:
         """Probability that G(n, p) is strongly connected."""
-        return 1 - self.prob_disconnected(n)
+        self._fill(n)
+        return self._strong[n]
 
     def prob_disconnected(self, n: int) -> Prob:
         """Probability that G(n, p) is not strongly connected (0 for n = 1)."""
+        self._fill(n)
+        return self._disc[n]
+
+    def _fill(self, n: int) -> None:
+        """Extend R, P_C and the disconnection table to n vertices, ascending."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        # fill ascending so the recursion never recurses deeply
-        for m in range(2, n + 1):
-            if m not in self._strong:
-                self._strong[m] = 1 - self._disconnected(m)
-        if n == 1:
-            return self._one - 1
-        return 1 - self._strong[n]
-
-    def _disconnected(self, n: int) -> Prob:
-        if self.exact:
-            total = Fraction(0)
-            for parts in _partitions_desc(n, n - 1):
-                total += self._partition_term(n, parts)
-            return total
-        return self._disconnected_float(n)
-
-    def _partition_term(self, n: int, parts: tuple[int, ...]) -> Prob:
-        term = count_labeled_decompositions(parts) * self._acyclic_rec(parts)
-        for size in parts:
-            term *= self._strong[size] if size > 1 else self._one
-        return term
-
-    def _reach(self, n: int) -> float:
-        """P(vertex 1 reaches every vertex of G(n, p)), float path.
-
-        Conditioning on the exact reach set of vertex 1 gives
-        R(n) = 1 - sum_{k<n} C(n-1, k-1) R(k) (1-p)^(k(n-k)).
-        """
-        vals = self._reach_all
-        q = float(self._q)
-        while len(vals) <= n:
-            m = len(vals)
-            s = 0.0
-            binom = 1.0  # C(m-1, k-1), updated incrementally
+        one = self._one
+        reach, strong, disc = self._reach, self._strong, self._disc
+        qpow = self._powers(n * n // 4)  # k(m-k) and (t+y)(w-y) stay below
+        for m in range(len(strong), n + 1):
+            row = self._binom_row(m - 1)
+            miss = 0
             for k in range(1, m):
-                s += binom * vals[k] * q ** (k * (m - k))
-                binom *= (m - k) / k
-            vals.append(1.0 - s)
-        return vals[n]
+                miss += row[k - 1] * reach[k] * qpow[k * (m - k)]
+            reach.append(one - miss)
+            s = 0
+            for t in range(1, m):
+                s += row[t - 1] * strong[t] * qpow[t * (m - t)] * self._spread_upto(t, m - t)
+            # the double complement rounds a float P_C(m) to the grid of 1,
+            # so 1 - (1 - P_C) == P_C; on exact types it is the identity
+            strong.append(one - (one - (reach[m] - s)))
+            disc.append(miss + s)
 
-    def _spread_all(self, t: int, w: int) -> float:
-        """P(a t-vertex mutually reachable block reaches all of w outside vertices).
-
-        Only arcs block->outside and outside-internal matter; conditioning
-        on the exact reached subset gives
-        U(t, w) = 1 - sum_{y<w} C(w, y) U(t, y) (1-p)^((t+y)(w-y)).
-        """
-        vals = self._spread.setdefault(t, [1.0])
-        q = float(self._q)
-        while len(vals) <= w:
-            m = len(vals)
-            s = 0.0
-            binom = 1.0  # C(m, y), updated incrementally
+    def _spread_upto(self, t: int, w: int) -> Prob:
+        """U(t, w), growing the row for t; ``_fill`` has sized the power table."""
+        vals = self._spread.setdefault(t, [self._one])
+        qpow = self._qpow
+        for m in range(len(vals), w + 1):
+            row = self._binom_row(m)
+            s = 0
             for y in range(m):
-                s += binom * vals[y] * q ** ((t + y) * (m - y))
-                binom *= (m - y) / (y + 1)
-            vals.append(1.0 - s)
+                s += row[y] * vals[y] * qpow[(t + y) * (m - y)]
+            vals.append(self._one - s)
         return vals[w]
-
-    def _disconnected_float(self, n: int) -> float:
-        # Float path: a reachability factorization instead of the partition
-        # sum (whose sub-multiset recursion grows combinatorially). With
-        # T the co-reach set of vertex 1, a digraph has vertex 1 reaching
-        # everything iff arcs into T are absent, the subgraph on T is
-        # strongly connected, and T spreads to the other n-|T| vertices:
-        #   R(n) = sum_t C(n-1, t-1) P_C(t) (1-p)^(t(n-t)) U(t, n-t),
-        # whose t = n term isolates P_C(n). Cross-checked against the exact
-        # partition recursion in the test suite.
-        strong = self._strong
-        q = float(self._q)
-        s = 0.0
-        binom = 1.0  # C(n-1, t-1), updated incrementally
-        for t in range(1, n):
-            s += binom * strong[t] * q ** (t * (n - t)) * self._spread_all(t, n - t)
-            binom *= (n - t) / t
-        return 1.0 - (self._reach(n) - s)
 
 
 # -- module-level conveniences (fresh session per call) --

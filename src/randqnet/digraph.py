@@ -107,9 +107,6 @@ class DirectedGraph:
             m |= 1 << arc_index(self.n, u, v)
         return m
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
-
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in sorted(self.arcs):
@@ -151,14 +148,6 @@ class SccDecomposition:
 
     components: tuple
     condensation: frozenset
-
-    @property
-    def component_of(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for i, comp in enumerate(self.components):
-            for v in comp:
-                out[v] = i
-        return out
 
 
 def strongly_connected_components(g: DirectedGraph) -> SccDecomposition:

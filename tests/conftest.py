@@ -1,4 +1,9 @@
-"""Shared test oracles, kept independent of the package implementations."""
+"""Shared test oracles, kept independent of the package implementations.
+
+The one exception is ``partition_sum_pc``, which assembles the package's
+partition helpers and acyclic-interconnect recursion (each tested against
+brute force here) into an algorithm independent of the P_C factorization.
+"""
 
 from fractions import Fraction
 from itertools import product
@@ -6,7 +11,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from randqnet import DirectedGraph
+from randqnet import (
+    ConnectivitySession,
+    DirectedGraph,
+    count_labeled_decompositions,
+    enumerate_partitions,
+)
 
 
 # --- dense quantum oracles -------------------------------------------------
@@ -117,6 +127,28 @@ def acyclic_interconnect_oracle(parts, p: Fraction) -> Fraction:
             prob *= (1 - absent) if (mask >> t) & 1 else absent
         total += prob
     return total
+
+
+def partition_sum_pc(n_max: int, p: Fraction) -> list[Fraction]:
+    """Exact P_C(0..n_max) by inclusion-exclusion over integer partitions.
+
+    A digraph that is not strongly connected splits uniquely into at least
+    two maximal strongly connected pieces whose quotient graph is acyclic,
+    so 1 - P_C(n) sums, over partitions of n into two or more parts, the
+    number of labeled splits times the per-piece P_C values times the
+    acyclic-interconnect probability. Entry 0 is a placeholder.
+    """
+    session = ConnectivitySession(p)
+    pc = [Fraction(1), Fraction(1)]
+    for n in range(2, n_max + 1):
+        disconnected = Fraction(0)
+        for parts in enumerate_partitions(n, min_length=2):
+            term = count_labeled_decompositions(parts) * session.prob_acyclic_interconnect(parts)
+            for size in parts:
+                term *= pc[size]
+            disconnected += term
+        pc.append(1 - disconnected)
+    return pc
 
 
 def undirected_connected_oracle(n: int, p: Fraction) -> Fraction:

@@ -55,6 +55,22 @@ def test_pc_table_exact_cost_guard(capsys):
     assert "refused" in err
 
 
+def test_rational_probability_on_float_path_is_noted(capsys):
+    code, out, err = run_cli(capsys, "pc", "table", "--p", "1/2", "--nmax", "31")
+    assert code == EXIT_OK
+    assert [line for line in err.splitlines() if line.startswith("note:")] == [
+        "note: rational probability 1/2 uses the float path for nmax > 30"
+    ]
+    # the note leaves stdout as the decimal-p float run prints it
+    assert run_cli(capsys, "pc", "table", "--p", "0.5", "--nmax", "31")[1] == out
+    assert run_cli(capsys, "pc", "table", "--p", "1/2", "--nmax", "30")[2] == ""
+
+    code, _, err = run_cli(capsys, "pc", "curve", "--p-list", "1/2,1/3", "--nmax", "25")
+    assert code == EXIT_OK
+    assert err.splitlines() == ["note: rational probabilities use the float path for nmax > 24"]
+    assert run_cli(capsys, "pc", "curve", "--p-list", "1/2,1/3", "--nmax", "24")[2] == ""
+
+
 def test_csv_output_is_lf_terminated(tmp_path, capsys):
     path = tmp_path / "t.csv"
     code, _, _ = run_cli(capsys, "pc", "table", "--nmax", "3", "--out", str(path))

@@ -19,7 +19,7 @@ from randqnet import (
     prob_disconnected_undirected,
     prob_strongly_connected,
 )
-from conftest import acyclic_interconnect_oracle, undirected_connected_oracle
+from conftest import acyclic_interconnect_oracle, partition_sum_pc, undirected_connected_oracle
 
 HALF = Fraction(1, 2)
 P_GRID = [Fraction(1, 5), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), HALF, Fraction(2, 3)]
@@ -127,6 +127,43 @@ def test_float_path_matches_exact_path():
             exact = float(session.prob_strongly_connected(n))
             approx = fsession.prob_strongly_connected(n)
             assert abs(exact - approx) <= 1e-12
+
+
+@pytest.mark.parametrize("p", P_GRID + [Fraction(1, 100)])
+def test_factorization_equals_partition_sum_oracle(p):
+    oracle = partition_sum_pc(12, p)
+    session = ConnectivitySession(p)
+    for n in range(1, 13):
+        assert session.prob_strongly_connected(n) == oracle[n]
+        assert session.prob_disconnected(n) == 1 - oracle[n]
+
+
+def test_float_disconnection_keeps_relative_accuracy():
+    # 1 - P_C(n) rounds to zero in floats from n ~ 60 at p = 1/2; the
+    # disconnection side is summed from its own non-negative terms instead
+    exact = ConnectivitySession(HALF)
+    fsession = ConnectivitySession(0.5)
+    for n in (40, 60, 100):
+        ref = exact.prob_disconnected(n)
+        assert abs(Fraction(fsession.prob_disconnected(n)) - ref) <= Fraction(1, 10 ** 12) * ref
+    assert float(exact.prob_disconnected(100)) == pytest.approx(3.155443620884047221646914e-28, rel=1e-15)
+
+
+def test_float_bits_are_pinned():
+    # binary64 results of the float factorization as released. Each of these
+    # changes moves at least one pin: products or sums regrouped (p = 0.2,
+    # n = 17), powers by repeated multiplication (n = 17), the binomial
+    # step c * (N - j) / (j + 1) (p = 0.2, n = 20; p = 0.5, n = 55) and
+    # dropping the double complement (p = 0.2, n = 2)
+    pinned = {
+        0.5: {20: "0x1.fff600185f6b8p-1", 55: "0x1.fffffffffffcap-1",
+              100: "0x1.0000000000000p+0", 240: "0x1.0000000000000p+0"},
+        0.2: {2: "0x1.47ae147ae1480p-5", 17: "0x1.927edf187bf6ep-2", 20: "0x1.2285af9c56578p-1",
+              30: "0x1.d2c0064b54fb6p-1", 160: "0x1.ffffffffffb9cp-1"},
+    }
+    for p, by_n in pinned.items():
+        session = ConnectivitySession(p)
+        assert {n: session.prob_strongly_connected(n).hex() for n in by_n} == by_n
 
 
 def test_sessions_are_independent_across_threads():
