@@ -32,23 +32,17 @@ from .channels import (
     SignedPauli,
     asymptotic_channel,
     asymptotic_channel_exact,
-    attractor_projector,
     averaged_channel_ptm,
     channel_ptm,
     cnot_conjugate,
     convergence_trace,
-    evolve_state,
     hs_distance,
     index_to_word,
-    pauli_coeffs,
-    density_matrix,
-    pauli_word_matrix,
     state_mixed,
     state_plus,
     state_zero,
     static_average_iterate,
     static_convergence_traces,
-    word_to_index,
 )
 
 __version__ = "0.1.0"

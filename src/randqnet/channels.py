@@ -13,6 +13,14 @@ first; index ``a`` carries the qubit-q letter in its q-th base-4 digit.
 A state is the real coefficient vector r[a] = Tr(sigma_a rho) / 2^n, so
 r[0] = 1/2^n encodes unit trace and trace preservation of a channel is
 exactly "row 0 equals the unit vector e_0".
+
+A dynamic network redraws its graph every step, so its r-th iterate is the
+r-th power of the graph-averaged channel. A static network keeps one
+unknown graph, so its r-th iterate is the ensemble average of the
+per-graph powers M_g^r: exact, from one representative per isomorphism
+class, up to ``STATIC_EXHAUSTIVE_MAX_N`` qubits, and over seeded graph
+draws above. ``_static_ensembles`` is the one place that picks between
+the two.
 """
 
 from __future__ import annotations
@@ -32,23 +40,17 @@ from .digraph import CostGuardError, DirectedGraph, arc_pairs, sample_digraph
 __all__ = [
     "PAULI_LETTERS",
     "SignedPauli",
-    "word_to_index",
     "index_to_word",
-    "pauli_word_matrix",
     "cnot_conjugate",
     "ChannelSpec",
     "channel_ptm",
     "averaged_channel_ptm",
-    "attractor_projector",
     "asymptotic_channel",
     "asymptotic_channel_exact",
     "hs_distance",
-    "evolve_state",
     "state_zero",
     "state_plus",
     "state_mixed",
-    "pauli_coeffs",
-    "density_matrix",
     "static_average_iterate",
     "convergence_trace",
     "static_convergence_traces",
@@ -56,7 +58,7 @@ __all__ = [
 
 PAULI_LETTERS = "IXYZ"
 
-STATIC_EXHAUSTIVE_MAX_N = 4   # 2^(n(n-1)) graphs; 4096 at n = 4
+STATIC_EXHAUSTIVE_MAX_N = 4   # isomorphism classes of 2^(n(n-1)) graphs; 218 at n = 4
 EXACT_CHANNEL_MAX_N = 4       # exact rational asymptotic map
 
 _I, _X, _Y, _Z = 0, 1, 2, 3
@@ -103,33 +105,10 @@ def _build_cnot_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _CNOT_C, _CNOT_T, _CNOT_SIGN = _build_cnot_table()
 
 
-def word_to_index(word: str) -> int:
-    idx = 0
-    for q, ch in enumerate(word):
-        idx += PAULI_LETTERS.index(ch) * 4 ** q
-    return idx
-
-
 def index_to_word(index: int, n: int) -> str:
     if not 0 <= index < 4 ** n:
         raise ValueError("index out of range")
     return "".join(PAULI_LETTERS[(index >> (2 * q)) & 3] for q in range(n))
-
-
-_SINGLE_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def pauli_word_matrix(word: str) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a Pauli word (qubit 0 = least significant bit)."""
-    out = np.array([[1.0 + 0j]])
-    for ch in reversed(word):
-        out = np.kron(out, _SINGLE_MATS[ch])
-    return out
 
 
 @dataclass(frozen=True)
@@ -240,25 +219,6 @@ def averaged_channel_ptm(n: int, p: Prob) -> np.ndarray:
     return M
 
 
-def attractor_projector(n: int) -> np.ndarray:
-    """Rank-2 orthogonal projector onto span{|0...0>, |+...+>} in the state space.
-
-    The two spanning vectors overlap by 2^(-n/2); orthogonalizing |+...+>
-    against |0...0> leaves w/sqrt(2^n - 1) with w = (0, 1, ..., 1), so
-    P = e_0 e_0^T + w w^T / (2^n - 1), a real matrix with P^2 = P = P^T and
-    trace 2.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    dim = 2 ** n
-    P = np.full((dim, dim), 1.0 / (dim - 1)) if dim > 1 else np.zeros((1, 1))
-    if dim > 1:
-        P[0, :] = 0.0
-        P[:, 0] = 0.0
-    P[0, 0] = 1.0
-    return P
-
-
 def _pauli_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-index bit masks: X-type bits, Z-type bits, and the Y-letter count."""
     idx = np.arange(4 ** n)
@@ -366,19 +326,6 @@ def hs_distance(m1: np.ndarray, m2: np.ndarray) -> float:
     return float(np.linalg.norm(m1 - m2))
 
 
-def evolve_state(coeffs: np.ndarray, M: np.ndarray, r: int) -> np.ndarray:
-    """Apply a transfer matrix r times to a Pauli coefficient vector."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if M.shape != (coeffs.size, coeffs.size):
-        raise ValueError(f"dimension mismatch: state {coeffs.size}, matrix {M.shape}")
-    out = coeffs.copy()
-    for _ in range(r):
-        out = M @ out
-    return out
-
-
 def state_zero(n: int) -> np.ndarray:
     """Coefficient vector of |0...0><0...0|: 2^-n on every {I,Z} word."""
     xm, _, _ = _pauli_masks(n)
@@ -396,32 +343,6 @@ def state_mixed(n: int) -> np.ndarray:
     r = np.zeros(4 ** n)
     r[0] = 1.0 / 2 ** n
     return r
-
-
-def pauli_coeffs(rho: np.ndarray) -> np.ndarray:
-    """Pauli coefficient vector r[a] = Tr(sigma_a rho) / 2^n of a density matrix."""
-    dim = rho.shape[0]
-    n = dim.bit_length() - 1
-    if rho.shape != (dim, dim) or 2 ** n != dim:
-        raise ValueError("rho must be 2^n x 2^n")
-    out = np.empty(4 ** n)
-    for a in range(4 ** n):
-        val = np.trace(pauli_word_matrix(index_to_word(a, n)) @ rho) / dim
-        out[a] = val.real
-    return out
-
-
-def density_matrix(coeffs: np.ndarray) -> np.ndarray:
-    """Density matrix sum_a r[a] sigma_a from a Pauli coefficient vector."""
-    d = coeffs.size
-    n = (d.bit_length() - 1) // 2
-    if 4 ** n != d:
-        raise ValueError("coefficient vector length must be a power of 4")
-    rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for a, c in enumerate(coeffs):
-        if c:
-            rho += c * pauli_word_matrix(index_to_word(a, n))
-    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -465,26 +386,18 @@ def _iso_classes(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(classes)
 
 
-@lru_cache(maxsize=None)
-def _qubit_perm_index(n: int, perm: tuple[int, ...]) -> np.ndarray:
-    """Pauli-index permutation induced by relabeling qubit q -> perm[q]."""
-    idx = np.arange(4 ** n)
-    out = np.zeros_like(idx)
-    for q in range(n):
-        out += ((idx >> (2 * q)) & 3) * 4 ** perm[q]
-    out.setflags(write=False)
-    return out
-
-
 def _symmetrize(B: np.ndarray, n: int) -> np.ndarray:
-    """Sum of Pi B Pi^T over all qubit relabelings Pi."""
-    d = B.shape[0]
+    """Sum of Pi B Pi^T over all qubit relabelings Pi.
+
+    Read as a tensor with one base-4 axis per qubit for the rows and one
+    for the columns, B is relabeled by permuting the row axes and the
+    column axes alike, so each term is a strided view of B.
+    """
     out = np.zeros_like(B)
+    acc = out.reshape((4,) * (2 * n))
+    T = B.reshape((4,) * (2 * n))
     for perm in itertools.permutations(range(n)):
-        pv = _qubit_perm_index(n, perm)
-        tmp = np.empty_like(B)
-        tmp[np.ix_(pv, pv)] = B
-        out += tmp
+        acc += T.transpose(perm + tuple(n + a for a in perm))
     return out
 
 
@@ -495,72 +408,79 @@ def _graph_weights(n: int, p: float, masks) -> np.ndarray:
 
 
 class _StaticEnsemble:
-    """Incrementally iterable ensemble of per-graph channel powers.
+    """Incrementally iterable per-graph channel powers and their averaging weights.
 
-    For n <= 3 every labeled graph is enumerated directly. For n = 4 only
-    one representative per isomorphism class is iterated (218 instead of
-    4096 matrix powers); the ensemble average is recovered by summing the
-    class-weighted representative powers and symmetrizing over the 24
-    qubit relabelings, which is exact because relabeling a graph conjugates
-    its transfer matrix by the corresponding Pauli-index permutation.
+    ``weights`` maps each edge probability the ensemble serves to one weight
+    per graph in ``masks``, computed once. With ``symmetrize`` the weighted
+    sum is also summed over the n! qubit relabelings: an exhaustive ensemble
+    holds one representative per isomorphism class, weighted by its graph
+    probability times orbit / n!, and relabeling a graph conjugates its
+    transfer matrix by the matching Pauli-index permutation, so the result
+    is the exact average over every labeled graph.
     """
 
-    def __init__(self, n: int, sampled_masks=None):
-        self.n = n
-        if sampled_masks is not None:
-            counter = Counter(sampled_masks)
-            self.masks = sorted(counter)
-            total = sum(counter.values())
-            self.base_weights = np.array([counter[m] / total for m in self.masks])
-            self.symmetrize = False
-        elif n <= 3:
-            self.masks = list(range(1 << (n * (n - 1))))
-            self.base_weights = None
-            self.symmetrize = False
-        elif n <= STATIC_EXHAUSTIVE_MAX_N:
-            classes = _iso_classes(n)
-            self.masks = [m for m, _ in classes]
-            self.orbit = np.array([o for _, o in classes], dtype=float)
-            self.base_weights = None
-            self.symmetrize = True
-        else:
-            raise CostGuardError(
-                f"exhaustive static average refused for n={n} (max {STATIC_EXHAUSTIVE_MAX_N})"
-            )
-        footprint = 3 * len(self.masks) * (4 ** n) ** 2 * 8
+    def __init__(self, n: int, masks: list[int], weights: dict, symmetrize: bool):
+        footprint = 3 * len(masks) * (4 ** n) ** 2 * 8
         if footprint > 2_000_000_000:
             raise CostGuardError(
-                f"static ensemble of {len(self.masks)} distinct graphs at n={n} "
+                f"static ensemble of {len(masks)} distinct graphs at n={n} "
                 f"needs ~{footprint / 1e9:.1f} GB; reduce the budget"
             )
-        self.bases = np.stack([_mask_channel_ptm(n, m) for m in self.masks])
-        self.powers = np.stack([np.eye(4 ** n)] * len(self.masks))
+        self.n = n
+        self.weights = weights
+        self.symmetrize = symmetrize
+        self.bases = np.stack([_mask_channel_ptm(n, m) for m in masks])
+        self.powers = np.stack([np.eye(4 ** n)] * len(masks))
         self._buf = np.empty_like(self.powers)
-        self.r = 0
 
     def step(self):
         np.matmul(self.powers, self.bases, out=self._buf)
         self.powers, self._buf = self._buf, self.powers
-        self.r += 1
 
-    def average(self, p: float | None = None) -> np.ndarray:
-        """Ensemble average of the current powers at edge probability p."""
-        if self.base_weights is not None:
-            w = self.base_weights
-            return np.einsum("g,gab->ab", w, self.powers)
-        w = _graph_weights(self.n, p, self.masks)
-        if not self.symmetrize:
-            return np.einsum("g,gab->ab", w, self.powers)
-        w = w * self.orbit / math.factorial(self.n)
+    def average(self, w: np.ndarray) -> np.ndarray:
+        """Weighted sum of the current powers."""
         B = np.einsum("g,gab->ab", w, self.powers)
-        return _symmetrize(B, self.n)
+        return _symmetrize(B, self.n) if self.symmetrize else B
+
+
+def _static_ensembles(n: int, p_list: list[float], mode: str | None, budget: int, seed: int):
+    """Yield ensembles whose averages give the static iterate at every p in ``p_list``.
+
+    ``mode=None`` is ``"exhaustive"`` up to ``STATIC_EXHAUSTIVE_MAX_N``
+    qubits and ``"sampled"`` above. ``exhaustive`` weighs the isomorphism
+    classes by p^|E| (1-p)^(n(n-1)-|E|) (arcless graphs apply the
+    identity), one ensemble for all p; ``sampled`` weighs ``budget`` seeded
+    draws equally, one ensemble per p, each built only when the caller asks
+    for the next.
+    """
+    if mode is None:
+        mode = "exhaustive" if n <= STATIC_EXHAUSTIVE_MAX_N else "sampled"
+    if mode == "exhaustive":
+        if n > STATIC_EXHAUSTIVE_MAX_N:
+            raise CostGuardError(
+                f"exhaustive static average refused for n={n} (max {STATIC_EXHAUSTIVE_MAX_N})"
+            )
+        classes = _iso_classes(n)
+        masks = [m for m, _ in classes]
+        orbit = np.array([o for _, o in classes], dtype=float)
+        weights = {p: _graph_weights(n, p, masks) * orbit / math.factorial(n) for p in p_list}
+        yield _StaticEnsemble(n, masks, weights, symmetrize=True)
+    elif mode == "sampled":
+        for p in dict.fromkeys(p_list):
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            counter = Counter(sample_digraph(n, p, rng).mask for _ in range(budget))
+            masks = sorted(counter)
+            w = np.array([counter[m] / budget for m in masks])
+            yield _StaticEnsemble(n, masks, {p: w}, symmetrize=False)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def static_average_iterate(
     n: int,
     p: Prob,
     r: int,
-    mode: str = "exhaustive",
+    mode: str | None = None,
     budget: int = 10_000,
     seed: int = 0,
 ) -> np.ndarray:
@@ -568,67 +488,60 @@ def static_average_iterate(
 
     ``exhaustive`` sums p^|E| (1-p)^(n(n-1)-|E|) M_g^r over every graph
     (n <= 4; arcless graphs contribute the identity); ``sampled`` averages
-    over ``budget`` seeded graph draws with equal weights.
+    over ``budget`` seeded graph draws with equal weights; ``None`` picks
+    exhaustive where it is allowed.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
     pf = float(p)
+    (ens,) = _static_ensembles(n, [pf], mode, budget, seed)
     if r == 0:
-        if mode == "exhaustive" and n > STATIC_EXHAUSTIVE_MAX_N:
-            raise CostGuardError(
-                f"exhaustive static average refused for n={n} (max {STATIC_EXHAUSTIVE_MAX_N})"
-            )
         return np.eye(4 ** n)  # every graph contributes M^0 = Id
-    if mode == "exhaustive":
-        ens = _StaticEnsemble(n)
-    elif mode == "sampled":
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        masks = [sample_digraph(n, pf, rng).mask for _ in range(budget)]
-        ens = _StaticEnsemble(n, sampled_masks=masks)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     for _ in range(r):
         ens.step()
-    return ens.average(pf)
+    return ens.average(ens.weights[pf])
 
 
 def static_convergence_traces(
     n: int,
     p_list,
     r_max: int,
-    mode: str = "exhaustive",
+    mode: str | None = None,
     budget: int = 10_000,
     seed: int = 0,
 ) -> dict:
     """Distance-to-limit traces of the static ensemble for several p at once.
 
     Returns {p: [(r, D)]} with D the Hilbert-Schmidt distance between the
-    ensemble-averaged r-th power and the asymptotic map. The per-graph
-    powers do not depend on p, so all requested p values share one sweep.
+    ensemble-averaged r-th power and the asymptotic map; ``mode``,
+    ``budget`` and ``seed`` are as in ``static_average_iterate``. The
+    exhaustive per-graph powers do not depend on p, so all requested p
+    values share one sweep.
     """
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
     p_list = list(p_list)
     limit = asymptotic_channel(n)
-    if mode == "exhaustive":
-        ensembles = {None: _StaticEnsemble(n)}
-    elif mode == "sampled":
-        ensembles = {}
-        for p in p_list:
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
-            masks = [sample_digraph(n, float(p), rng).mask for _ in range(budget)]
-            ensembles[float(p)] = _StaticEnsemble(n, sampled_masks=masks)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    out = {p: [] for p in p_list}
-    for r in range(r_max + 1):
-        for p in p_list:
-            ens = ensembles.get(None) or ensembles[float(p)]
-            out[p].append((r, hs_distance(ens.average(float(p)), limit)))
-        if r < r_max:
-            for ens in ensembles.values():
+    traces = {}
+    for ens in _static_ensembles(n, [float(p) for p in p_list], mode, budget, seed):
+        for r in range(r_max + 1):
+            if r:
                 ens.step()
-    return out
+            for pf, w in ens.weights.items():
+                traces.setdefault(pf, []).append((r, hs_distance(ens.average(w), limit)))
+        del ens  # one ensemble in memory at a time: free it before the next is built
+    return {p: traces[float(p)] for p in p_list}
+
+
+def _dynamic_trace(n: int, p: Prob, r_max: int):
+    """Yield (r, D(r)) for the powers of the graph-averaged single-step channel."""
+    limit = asymptotic_channel(n)
+    step = averaged_channel_ptm(n, p)
+    cur = np.eye(4 ** n)
+    for r in range(r_max + 1):
+        yield r, hs_distance(cur, limit)
+        if r < r_max:
+            cur = step @ cur
 
 
 def convergence_trace(
@@ -645,33 +558,21 @@ def convergence_trace(
     ``dynamic``: the graph is redrawn every step, so the r-th iterate is
     the r-th power of the averaged single-step channel. ``static``: one
     unknown graph is fixed throughout, so the r-th iterate is the ensemble
-    average of per-graph r-th powers. ``stop_below`` truncates the trace
-    once D drops under the given value.
+    average of per-graph r-th powers (exhaustive up to
+    ``STATIC_EXHAUSTIVE_MAX_N`` qubits, ``budget`` seeded draws above).
+    ``stop_below`` truncates the trace once D drops under the given value.
     """
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
     if mode == "dynamic":
-        limit = asymptotic_channel(n)
-        step = averaged_channel_ptm(n, p)
-        cur = np.eye(4 ** n)
-        rows = []
-        for r in range(r_max + 1):
-            dist = hs_distance(cur, limit)
-            rows.append((r, dist))
-            if stop_below is not None and dist < stop_below:
-                break
-            if r < r_max:
-                cur = step @ cur
-        return rows
-    if mode == "static":
-        traces = static_convergence_traces(n, [p], r_max, mode="exhaustive" if n <= STATIC_EXHAUSTIVE_MAX_N else "sampled", budget=budget, seed=seed)
-        rows = traces[p]
-        if stop_below is not None:
-            cut = []
-            for r, dist in rows:
-                cut.append((r, dist))
-                if dist < stop_below:
-                    break
-            return cut
-        return rows
-    raise ValueError(f"unknown mode {mode!r}")
+        trace = _dynamic_trace(n, p, r_max)
+    elif mode == "static":
+        trace = static_convergence_traces(n, [p], r_max, budget=budget, seed=seed)[p]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    rows = []
+    for r, dist in trace:
+        rows.append((r, dist))
+        if stop_below is not None and dist < stop_below:
+            break
+    return rows

@@ -2,9 +2,10 @@
 
 Commands emit CSV (default) or JSON tables with deterministic content for
 a fixed flag set and seed. Probabilities may be given as exact rationals
-("1/2"), which routes computation through big-rational arithmetic up to
-the exact size limits; decimal inputs ("0.5"), and rationals beyond those
-limits, use the float path and print a note to stderr.
+("1/2") or decimals ("0.5"). ``pc table`` and ``pc curve`` compute a
+rational p in big-rational arithmetic up to ``connectivity.EXACT_PC_MAX_N``
+vertices; a decimal p, or a rational one beyond that size, uses the float
+path there and prints a note to stderr.
 
 Exit codes: 0 success, 2 usage or validation error, 3 cost-guard refusal,
 4 internal numerical failure.
@@ -26,7 +27,6 @@ from . import channels, connectivity, digraph
 from .digraph import CostGuardError
 
 DEFAULT_SEED = 171717
-EXACT_TABLE_LIMIT = 30
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -38,8 +38,12 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_prob(text: str, *, closed: bool = False) -> connectivity.Prob:
-    """Parse "a/b" to an exact Fraction, decimals to float."""
+def _parse_prob(text: str, *, closed: bool = False, note: bool = False) -> connectivity.Prob:
+    """Parse "a/b" to an exact Fraction, decimals to float.
+
+    ``note`` is set by the commands that have an exact path: they tell on
+    stderr when a decimal p takes the float path.
+    """
     text = text.strip()
     try:
         if "/" in text:
@@ -53,13 +57,13 @@ def _parse_prob(text: str, *, closed: bool = False) -> connectivity.Prob:
             raise UsageError(f"probability {text!r} must lie in [0, 1]")
     elif not 0 < value < 1:
         raise UsageError(f"probability {text!r} must lie strictly in (0, 1)")
-    if isinstance(value, float):
+    if note and isinstance(value, float):
         print(f"note: decimal probability {text} uses the float path", file=sys.stderr)
     return value
 
 
-def _parse_prob_list(text: str, *, closed: bool = False) -> list[connectivity.Prob]:
-    return [_parse_prob(tok, closed=closed) for tok in text.split(",") if tok.strip()]
+def _parse_prob_list(text: str, *, note: bool = False) -> list[connectivity.Prob]:
+    return [_parse_prob(tok, note=note) for tok in text.split(",") if tok.strip()]
 
 
 def _fmt(value, precision: int) -> str:
@@ -104,17 +108,18 @@ def _prob_str(p) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_pc_table(args) -> int:
-    p = _parse_prob(args.p)
+    p = _parse_prob(args.p, note=True)
     if args.nmax < 2:
         raise UsageError("--nmax must be >= 2")
+    limit = connectivity.EXACT_PC_MAX_N
     exact = isinstance(p, Fraction)
     if args.exact and not exact:
         raise UsageError("--exact requires a rational probability such as 1/2")
-    if args.exact and args.nmax > EXACT_TABLE_LIMIT:
-        raise CostGuardError(f"exact table refused for nmax > {EXACT_TABLE_LIMIT}")
-    use_exact = exact and args.nmax <= EXACT_TABLE_LIMIT
+    if args.exact and args.nmax > limit:
+        raise CostGuardError(f"exact table refused for nmax > {limit}")
+    use_exact = exact and args.nmax <= limit
     if exact and not use_exact:
-        print(f"note: rational probability {args.p} uses the float path for nmax > {EXACT_TABLE_LIMIT}",
+        print(f"note: rational probability {args.p} uses the float path for nmax > {limit}",
               file=sys.stderr)
     session = connectivity.ConnectivitySession(p if use_exact else float(p))
     rows = []
@@ -126,13 +131,13 @@ def _cmd_pc_table(args) -> int:
 
 
 def _cmd_pc_curve(args) -> int:
-    p_list = _parse_prob_list(args.p_list)
+    p_list = _parse_prob_list(args.p_list, note=True)
     if args.nmax < 1:
         raise UsageError("--nmax must be >= 1")
     if args.nmax > 400:
         raise CostGuardError("curve refused for nmax > 400")
-    if args.nmax > connectivity.EXACT_CURVE_LIMIT and any(isinstance(p, Fraction) for p in p_list):
-        print(f"note: rational probabilities use the float path for nmax > {connectivity.EXACT_CURVE_LIMIT}",
+    if args.nmax > connectivity.EXACT_PC_MAX_N and any(isinstance(p, Fraction) for p in p_list):
+        print(f"note: rational probabilities use the float path for nmax > {connectivity.EXACT_PC_MAX_N}",
               file=sys.stderr)
     per_p = args.out and "{p}" in args.out
     all_rows = []
@@ -213,11 +218,10 @@ def _cmd_evolve(args) -> int:
                 {"p": _prob_str(p), "r": r, "distance": _fmt(d, args.precision)} for r, d in trace
             )
     else:
-        mode = args.ensemble_mode
-        if mode == "auto":
-            mode = "exhaustive" if args.n <= channels.STATIC_EXHAUSTIVE_MAX_N else "sampled"
+        if args.budget < 1:
+            raise UsageError("--budget must be >= 1")
         traces = channels.static_convergence_traces(
-            args.n, [float(p) for p in p_list], args.rmax, mode=mode, budget=args.budget, seed=args.seed
+            args.n, [float(p) for p in p_list], args.rmax, budget=args.budget, seed=args.seed
         )
         for p in p_list:
             rows.extend(
@@ -310,16 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
         e.add_argument("--n", type=int, default=4)
         e.add_argument("--p-list", dest="p_list", default="0.2,0.4,0.6,0.8,0.95")
         e.add_argument("--rmax", type=int, default=160 if name == "static" else 1000)
-        e.add_argument("--budget", type=int, default=10 ** 4, help="sampled-mode graph budget")
-        e.add_argument("--seed", type=int, default=DEFAULT_SEED)
         if name == "static":
-            e.add_argument(
-                "--mode",
-                dest="ensemble_mode",
-                choices=("auto", "exhaustive", "sampled"),
-                default="auto",
-                help="graph-ensemble averaging (auto: exhaustive up to n=4)",
-            )
+            e.add_argument("--budget", type=int, default=10 ** 4,
+                           help=f"graphs drawn per p above n={channels.STATIC_EXHAUSTIVE_MAX_N}")
+            e.add_argument("--seed", type=int, default=DEFAULT_SEED)
         _add_io_flags(e)
         e.set_defaults(func=_cmd_evolve, mode=name)
 

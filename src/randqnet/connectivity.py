@@ -14,9 +14,12 @@ this module evaluates
 The core algorithm is a reachability factorization (see
 ``ConnectivitySession``): conditioning on the set of vertices that reach
 a fixed vertex gives P_C(n) in O(n^3) operations from two auxiliary
-reachability recurrences. One code path serves every number type, so the
-result is exact (``fractions.Fraction``) when ``p`` is a ``Fraction`` and
-IEEE-754 binary64 when ``p`` is a float.
+reachability recurrences. The first of them, the probability that a
+fixed vertex reaches all others, is the undirected connectivity
+recurrence, so the same tables answer the undirected model. One code path
+serves every number type, so the result is exact (``fractions.Fraction``)
+when ``p`` is a ``Fraction`` and IEEE-754 binary64 when ``p`` is a float;
+``pc_curve`` keeps a rational ``p`` exact up to ``EXACT_PC_MAX_N``.
 
 The partition view of the same quantity (a non-strongly-connected digraph
 splits uniquely into at least two maximal strongly connected pieces whose
@@ -50,8 +53,8 @@ __all__ = [
     "PcCurve",
 ]
 
-# Largest n for which pc_curve picks the exact path on its own.
-EXACT_CURVE_LIMIT = 24
+# Largest n for which a rational p stays on the exact path (pc_curve, pc table).
+EXACT_PC_MAX_N = 30
 
 
 def _partitions_desc(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -118,7 +121,9 @@ class ConnectivitySession:
     conditioning on an exact reached set, give strong connectivity:
 
     * R(n) = 1 - sum_{k<n} C(n-1, k-1) R(k) q^(k(n-k)), the probability
-      that vertex 1 reaches every vertex;
+      that vertex 1 reaches every vertex; this is term for term the
+      undirected connectivity recurrence (Gilbert 1959), so R(n) is also
+      the probability that an undirected G(n, p) graph is connected;
     * U(t, w) = 1 - sum_{y<w} C(w, y) U(t, y) q^((t+y)(w-y)), the
       probability that a mutually reachable block of t vertices reaches all
       of w outside vertices;
@@ -126,10 +131,12 @@ class ConnectivitySession:
       with T the co-reach set of vertex 1, vertex 1 reaches everything iff
       no arc enters T, T is strongly connected and T spreads to the rest.
 
-    The disconnection probability is the sum of the non-negative parts,
-    (1 - R(n)) + sum_t(...), so it stays accurate in floats where
+    The disconnection probabilities are sums of non-negative parts: the
+    sum subtracted in R(n) for the undirected graph, and that sum plus
+    sum_t(...) for the directed one, so they stay accurate in floats where
     1 - P_C(n) rounds to zero. The recurrences share one table of powers of
-    q and one binomial row per size; P_C(n) costs O(n^3) operations.
+    q and one binomial row per size; R(n) costs O(n^2) operations and
+    P_C(n) O(n^3).
     """
 
     def __init__(self, p: Prob):
@@ -143,6 +150,7 @@ class ConnectivitySession:
         self._acyclic: dict[tuple[int, ...], Prob] = {(): one}
         # entry n belongs to n vertices; index 0 is a placeholder
         self._reach: list[Prob] = [one, one]
+        self._miss: list[Prob] = [one - one, one - one]  # 1 - R, summed directly
         self._strong: list[Prob] = [one, one]
         self._disc: list[Prob] = [one, one - one]
         self._spread: dict[int, list[Prob]] = {}
@@ -226,29 +234,48 @@ class ConnectivitySession:
         self._fill(n)
         return self._disc[n]
 
-    def _fill(self, n: int) -> None:
-        """Extend R, P_C and the disconnection table to n vertices, ascending."""
+    def prob_connected_undirected(self, n: int) -> Prob:
+        """Probability that an undirected G(n, p) graph is connected."""
+        self._fill_reach(n)
+        return self._reach[n]
+
+    def prob_disconnected_undirected(self, n: int) -> Prob:
+        """Probability that an undirected G(n, p) graph is disconnected (0 for n = 1)."""
+        self._fill_reach(n)
+        return self._miss[n]
+
+    def _fill_reach(self, n: int) -> None:
+        """Extend R and its complement sum to n vertices, ascending."""
         if n < 1:
             raise ValueError("n must be >= 1")
         one = self._one
-        reach, strong, disc = self._reach, self._strong, self._disc
+        reach, misses = self._reach, self._miss
         qpow = self._powers(n * n // 4)  # k(m-k) and (t+y)(w-y) stay below
-        for m in range(len(strong), n + 1):
+        for m in range(len(reach), n + 1):
             row = self._binom_row(m - 1)
             miss = 0
             for k in range(1, m):
                 miss += row[k - 1] * reach[k] * qpow[k * (m - k)]
             reach.append(one - miss)
+            misses.append(miss)
+
+    def _fill(self, n: int) -> None:
+        """Extend R, P_C and the disconnection table to n vertices, ascending."""
+        self._fill_reach(n)  # also sizes the power table
+        one, qpow = self._one, self._qpow
+        reach, miss, strong, disc = self._reach, self._miss, self._strong, self._disc
+        for m in range(len(strong), n + 1):
+            row = self._binom_row(m - 1)
             s = 0
             for t in range(1, m):
                 s += row[t - 1] * strong[t] * qpow[t * (m - t)] * self._spread_upto(t, m - t)
             # the double complement rounds a float P_C(m) to the grid of 1,
             # so 1 - (1 - P_C) == P_C; on exact types it is the identity
             strong.append(one - (one - (reach[m] - s)))
-            disc.append(miss + s)
+            disc.append(miss[m] + s)
 
     def _spread_upto(self, t: int, w: int) -> Prob:
-        """U(t, w), growing the row for t; ``_fill`` has sized the power table."""
+        """U(t, w), growing the row for t; ``_fill_reach`` has sized the power table."""
         vals = self._spread.setdefault(t, [self._one])
         qpow = self._qpow
         for m in range(len(vals), w + 1):
@@ -283,43 +310,12 @@ def prob_strongly_connected(n: int, p: Prob) -> Prob:
 def prob_disconnected_undirected(n: int, p: Prob) -> Prob:
     """Probability that an undirected G(n, p) graph is disconnected.
 
-    Complement of ``prob_connected_undirected``, computed directly so that
-    values far below float resolution of ``1 - x`` remain meaningful (the
-    disconnection probability at large n is dominated by a single isolated
-    vertex and can be ~1e-200 while still comparable against bounds).
+    Summed from non-negative terms, not as ``1 - prob_connected_undirected``,
+    so values far below the float resolution of 1 - x stay meaningful (at
+    large n the probability is dominated by a single isolated vertex and
+    can be ~1e-200 while still comparable against bounds).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_open_unit(p)
-    if isinstance(p, Fraction):
-        q = 1 - p
-        disc: list[Prob] = [Fraction(0), Fraction(0)]
-        for nn in range(2, n + 1):
-            s = Fraction(0)
-            for k in range(1, nn):
-                s += math.comb(nn - 1, k - 1) * (1 - disc[k]) * q ** (k * (nn - k))
-            disc.append(s)
-        return disc[n]
-    lnq = math.log1p(-p)
-    fdisc = [0.0, 0.0]
-    for nn in range(2, n + 1):
-        s = 0.0
-        for k in range(1, nn):
-            connected_k = 1.0 - fdisc[k]
-            if connected_k <= 0.0:
-                continue
-            # log-domain term so the binomial cannot overflow and the
-            # power cannot silently underflow away a contributing term
-            lt = (
-                math.lgamma(nn)
-                - math.lgamma(k)
-                - math.lgamma(nn - k + 1)
-                + math.log(connected_k)
-                + k * (nn - k) * lnq
-            )
-            s += math.exp(lt)
-        fdisc.append(s)
-    return fdisc[n]
+    return ConnectivitySession(p).prob_disconnected_undirected(n)
 
 
 def prob_connected_undirected(n: int, p: Prob) -> Prob:
@@ -330,10 +326,10 @@ def prob_connected_undirected(n: int, p: Prob) -> Prob:
 
         P(n) = 1 - sum_{k=1}^{n-1} C(n-1, k-1) P(k) (1-p)^(k(n-k))
 
-    with P(1) = 1. Exact when ``p`` is a ``Fraction``; float mode works on
-    the disconnection side in the log domain.
+    with P(1) = 1, which is the session's R(n). Exact when ``p`` is a
+    ``Fraction``.
     """
-    return 1 - prob_disconnected_undirected(n, p)
+    return ConnectivitySession(p).prob_connected_undirected(n)
 
 
 def lower_bound_pc(n: int, p: Prob) -> float:
@@ -366,13 +362,13 @@ def pc_curve(n_max: int, p: Prob, exact: bool | None = None) -> PcCurve:
     """Tabulate the strong-connectivity probability for n = 1..n_max.
 
     ``exact=None`` picks exact arithmetic when ``p`` is a ``Fraction`` and
-    ``n_max <= EXACT_CURVE_LIMIT``, floats otherwise. The argmin over the
+    ``n_max <= EXACT_PC_MAX_N``, floats otherwise. The argmin over the
     computed range breaks ties toward smaller n.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if exact is None:
-        exact = isinstance(p, Fraction) and n_max <= EXACT_CURVE_LIMIT
+        exact = isinstance(p, Fraction) and n_max <= EXACT_PC_MAX_N
     pv: Prob = p if exact else float(p)
     if exact and not isinstance(p, Fraction):
         raise ValueError("exact mode requires p as a Fraction")

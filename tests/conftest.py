@@ -37,6 +37,13 @@ def kron_pauli(word: str) -> np.ndarray:
     return out
 
 
+def pauli_coeffs(rho: np.ndarray) -> np.ndarray:
+    """Pauli coefficient vector r[a] = Tr(sigma_a rho) / 2^n of a density matrix."""
+    dim = rho.shape[0]
+    n = dim.bit_length() - 1
+    return np.array([np.trace(kron_pauli("".join(w)) @ rho).real / dim for w in _index_words(n)])
+
+
 def dense_cnot(n: int, control: int, target: int) -> np.ndarray:
     """Dense CNOT unitary on n qubits, qubit q <-> bit q of the basis index."""
     dim = 1 << n

@@ -65,10 +65,19 @@ def test_rational_probability_on_float_path_is_noted(capsys):
     assert run_cli(capsys, "pc", "table", "--p", "0.5", "--nmax", "31")[1] == out
     assert run_cli(capsys, "pc", "table", "--p", "1/2", "--nmax", "30")[2] == ""
 
-    code, _, err = run_cli(capsys, "pc", "curve", "--p-list", "1/2,1/3", "--nmax", "25")
+    code, _, err = run_cli(capsys, "pc", "curve", "--p-list", "1/2,1/3", "--nmax", "31")
     assert code == EXIT_OK
-    assert err.splitlines() == ["note: rational probabilities use the float path for nmax > 24"]
-    assert run_cli(capsys, "pc", "curve", "--p-list", "1/2,1/3", "--nmax", "24")[2] == ""
+    assert err.splitlines() == ["note: rational probabilities use the float path for nmax > 30"]
+    assert run_cli(capsys, "pc", "curve", "--p-list", "1/2,1/3", "--nmax", "30")[2] == ""
+
+
+def test_float_path_note_only_where_an_exact_path_exists(capsys):
+    code, _, err = run_cli(capsys, "evolve", "dynamic", "--n", "2", "--rmax", "1")
+    assert code == EXIT_OK
+    assert not [line for line in err.splitlines() if line.startswith("note:")]
+    code, _, err = run_cli(capsys, "pc", "table", "--p", "0.5")
+    assert code == EXIT_OK
+    assert err.splitlines() == ["note: decimal probability 0.5 uses the float path"]
 
 
 def test_csv_output_is_lf_terminated(tmp_path, capsys):
@@ -163,22 +172,24 @@ def test_evolve_cost_guard(capsys):
     assert code == EXIT_COST
 
 
-def test_evolve_static_exhaustive_mode_guard(capsys):
-    code, _, err = run_cli(
-        capsys, "evolve", "static", "--n", "5", "--mode", "exhaustive", "--rmax", "1"
-    )
+def test_evolve_static_default_n5_is_refused(capsys):
+    # above n = 4 the default budget of sampled graphs exceeds the memory guard
+    code, _, err = run_cli(capsys, "evolve", "static", "--n", "5", "--rmax", "1")
     assert code == EXIT_COST
     assert "refused" in err
 
 
 def test_evolve_static_sampled_mode(capsys):
-    args = ("evolve", "static", "--n", "3", "--mode", "sampled", "--budget", "200",
+    args = ("evolve", "static", "--n", "5", "--budget", "5",
             "--rmax", "2", "--p-list", "0.5", "--seed", "3")
     code, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert code == EXIT_OK
     assert out1 == out2
     assert len(parse_csv(out1)) == 3
+    code, _, err = run_cli(capsys, "evolve", "static", "--n", "5", "--budget", "0", "--rmax", "1")
+    assert code == EXIT_USAGE
+    assert "--budget" in err
 
 
 def test_asymptote_zero_state_is_fixed(capsys):
@@ -212,6 +223,9 @@ def test_asymptote_cost_guard(capsys):
 
 
 def test_unknown_flag_exits_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["pc", "table", "--bogus"])
-    assert exc.value.code == 2
+    for argv in (["pc", "table", "--bogus"],
+                 ["evolve", "dynamic", "--budget", "5"],
+                 ["evolve", "static", "--mode", "exhaustive"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
