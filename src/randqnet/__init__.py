@@ -32,6 +32,7 @@ from .channels import (
     SignedPauli,
     asymptotic_channel,
     asymptotic_channel_exact,
+    asymptotic_state,
     averaged_channel_ptm,
     channel_ptm,
     cnot_conjugate,

@@ -5,8 +5,8 @@ Each network link applies a CNOT from its tail (control) to its head
 word to a single signed Pauli word, so the transfer matrix of one CNOT is
 a signed permutation of the 4^n Pauli indices and the transfer matrix of a
 random-unitary mixture is a weighted sum of such permutations. All channel
-algebra here (composition, iteration, distances) is therefore real matrix
-algebra on 4^n x 4^n arrays.
+algebra here (composition, iteration, distances) is therefore real linear
+algebra on 4^n-dimensional coefficient vectors and 4^n x 4^n arrays.
 
 Conventions: Pauli words are strings over "IXYZ" with the qubit-0 letter
 first; index ``a`` carries the qubit-q letter in its q-th base-4 digit.
@@ -14,13 +14,20 @@ A state is the real coefficient vector r[a] = Tr(sigma_a rho) / 2^n, so
 r[0] = 1/2^n encodes unit trace and trace preservation of a channel is
 exactly "row 0 equals the unit vector e_0".
 
+Every strongly connected network drives a state to one limit L, the
+orthogonal projector onto the five operators every CNOT fixes.
+``_fixed_basis`` gives them as five orthogonal integer Pauli vectors, the
+only description of L: the dense map (``asymptotic_channel``) and the
+O(4^n) state map (``asymptotic_state``) are built from it.
+
 A dynamic network redraws its graph every step, so its r-th iterate is the
-r-th power of the graph-averaged channel. A static network keeps one
-unknown graph, so its r-th iterate is the ensemble average of the
-per-graph powers M_g^r: exact, from one representative per isomorphism
-class, up to ``STATIC_EXHAUSTIVE_MAX_N`` qubits, and over seeded graph
-draws above. ``_static_ensembles`` is the one place that picks between
-the two.
+r-th power S^r of the graph-averaged channel S; since S^r - L = (S - L)^r,
+one eigendecomposition of S - L gives D(r) for every r. A static network
+keeps one unknown graph, so its r-th iterate is the ensemble average of
+the per-graph powers M_g^r: exact, from one representative per
+isomorphism class, up to ``STATIC_EXHAUSTIVE_MAX_N`` qubits, and over
+seeded graph draws above. ``_static_ensembles`` is the one place that
+picks between the two.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ __all__ = [
     "averaged_channel_ptm",
     "asymptotic_channel",
     "asymptotic_channel_exact",
+    "asymptotic_state",
     "hs_distance",
     "state_zero",
     "state_plus",
@@ -175,20 +183,25 @@ class ChannelSpec:
         return cls(graph, {arc: 1.0 / m for arc in graph.arcs})
 
 
+def _link_sum(n: int, weighted_arcs, w_id: float) -> np.ndarray:
+    """Dense w_id * Id + sum of w * P_uv over ((u, v), w), P_uv the link's signed permutation."""
+    d = 4 ** n
+    M = w_id * np.eye(d)
+    cols = np.arange(d)
+    for (u, v), w in weighted_arcs:
+        perm, sign = _cnot_index_action(n, u, v)
+        M[perm, cols] += w * sign
+    return M
+
+
 def channel_ptm(spec: ChannelSpec) -> np.ndarray:
     """Transfer matrix of the random-unitary channel sum_l q_l U_l rho U_l^dagger.
 
     Each link contributes its signed permutation weighted by q_l; the
     result has at most |E| non-zero entries per column and row 0 = e_0.
     """
-    n = spec.graph.n
-    d = 4 ** n
-    M = np.zeros((d, d))
-    cols = np.arange(d)
-    for (u, v) in sorted(spec.graph.arcs):
-        perm, sign = _cnot_index_action(n, u, v)
-        M[perm, cols] += spec.weights[(u, v)] * sign
-    return M
+    arcs = sorted(spec.graph.arcs)
+    return _link_sum(spec.graph.n, [(arc, spec.weights[arc]) for arc in arcs], 0.0)
 
 
 def averaged_channel_ptm(n: int, p: Prob) -> np.ndarray:
@@ -209,14 +222,8 @@ def averaged_channel_ptm(n: int, p: Prob) -> np.ndarray:
         w_id = float((1 - p) ** n_arcs)
     else:
         w_id = (1.0 - float(p)) ** n_arcs
-    d = 4 ** n
-    M = w_id * np.eye(d)
-    cols = np.arange(d)
     c = (1.0 - w_id) / n_arcs
-    for (u, v) in arc_pairs(n):
-        perm, sign = _cnot_index_action(n, u, v)
-        M[perm, cols] += c * sign
-    return M
+    return _link_sum(n, [(arc, c) for arc in arc_pairs(n)], w_id)
 
 
 def _pauli_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -233,77 +240,50 @@ def _pauli_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xmask, zmask, ny
 
 
-@lru_cache(maxsize=None)
-def _asymptotic_numerator(n: int) -> tuple[np.ndarray, int]:
-    """Integer numerator matrix N and denominator D with asymptotic map = N / D.
+def _fixed_basis(n: int) -> tuple[np.ndarray, list[int]]:
+    """Orthogonal integer Pauli vectors spanning the operators every CNOT fixes, and |b_k|^2.
 
-    The limit map rho -> P rho P + Tr((I-P) rho)/(2^n - 2) (I-P) is built
-    from the rank-2 decomposition P = e_0 e_0^T + w w^T/(2^n - 1) with
-    w = (0, 1, ..., 1). All inner products <x|sigma_a|y> between {e_0, w}
-    are Gaussian integers, so the whole transfer matrix is one integer
-    matrix over a common denominator: exact entries, and rounding happens
-    once on conversion to float.
+    The fixed operators I, |0..0><0..0|, |+..+><+..+| and the two coherences
+    between |0..0> and |+..+> give the rows e_0; the {I,Z}-word and the
+    {I,X}-word indicators minus e_0; Re i^(#Y letters) minus those three;
+    and Im i^(#Y letters). The squared norms are 1, 2^n - 1, 2^n - 1,
+    (2^n - 1)(2^n - 2)/2 and 2^(n-1)(2^n - 1).
     """
     if n < 2:
         raise ValueError("the asymptotic map needs n >= 2 (no CNOT exists on one qubit)")
-    d = 4 ** n
-    dim = 2 ** n
-    K = dim - 1
-    D = dim - 2
     xm, zm, ny = _pauli_masks(n)
-    phase_re = np.array([1, 0, -1, 0], dtype=np.int64)[ny % 4]
-    phase_im = np.array([0, 1, 0, -1], dtype=np.int64)[ny % 4]
-    nonzero_x = (xm != 0).astype(np.int64)
-    parity = 1 - 2 * (np.bitwise_count((xm & zm).astype(np.uint64)).astype(np.int64) & 1)
+    B = np.zeros((5, 4 ** n), dtype=np.int64)
+    B[0, 0] = 1
+    B[1] = xm == 0
+    B[2] = zm == 0
+    B[1:3, 0] = 0
+    B[3] = np.array([1, 0, -1, 0])[ny % 4] - B[:3].sum(axis=0)
+    B[4] = np.array([0, 1, 0, -1])[ny % 4]
+    gram = B @ B.T
+    norms = np.diag(gram)
+    if np.any(gram != np.diag(norms)):
+        raise RuntimeError("fixed-space basis must be orthogonal")
+    return B, [int(s) for s in norms]
 
-    # <e0|sigma|e0>, <e0|sigma|w>, <w|sigma|e0>, <w|sigma|w>, all times i^ny
-    t11 = (xm == 0).astype(np.int64)  # phase is +1 here since ny = 0 when xm = 0
-    t1w_mag = nonzero_x * parity      # basis state xm, sign (-1)^{pc(xm & zm)}
-    tw1_mag = nonzero_x
-    tww_mag = dim * (zm == 0).astype(np.int64) - 1 - nonzero_x * parity
 
-    def cplx(mag):
-        return mag * phase_re, mag * phase_im
+def _asymptotic_numerator(n: int) -> tuple[np.ndarray, int]:
+    """Integer matrix N = B^T diag(D / |b_k|^2) B and D = lcm |b_k|^2, so the map is N / D.
 
-    t1w = cplx(t1w_mag)
-    tw1 = cplx(tw1_mag)
-    tww = cplx(tww_mag)
-
-    def outer_cc(a, b):
-        re = np.outer(a[0], b[0]) - np.outer(a[1], b[1])
-        im = np.outer(a[0], b[1]) + np.outer(a[1], b[0])
-        return re, im
-
-    # K^2 * Tr(sigma_a P sigma_b P): weights 1, 1/K, 1/K, 1/K^2 cleared
-    a_re = K * K * np.outer(t11, t11)
-    a_im = np.zeros_like(a_re)
-    for left, right in ((tw1, t1w), (t1w, tw1)):
-        re, im = outer_cc(left, right)
-        a_re += K * re
-        a_im += K * im
-    re, im = outer_cc(tww, tww)
-    a_re += re
-    a_im += im
-
-    # g_a * K = Tr(P sigma_a) * K; imaginary parts vanish identically
-    g_re = K * t11 + tww[0]
-    if np.any(tww[1]):
-        raise RuntimeError("trace of P sigma_a must be real")
-    h = -g_re
-    h[0] += dim * K
-    numer = D * a_re + np.outer(h, h)
-    if np.any(a_im):
-        raise RuntimeError("asymptotic transfer matrix must be real")
-    numer.setflags(write=False)
-    return numer, dim * K * K * D
+    The projector sum_k b_k b_k^T / |b_k|^2 is exact over one denominator;
+    rounding happens once, on division.
+    """
+    B, norms = _fixed_basis(n)
+    D = math.lcm(*norms)
+    return (B.T * np.array([D // s for s in norms])) @ B, D
 
 
 def asymptotic_channel(n: int) -> np.ndarray:
     """Transfer matrix of the common limit of iterated strongly connected CNOT networks.
 
     Implements rho -> P rho P + Tr((I-P) rho)/(2^n - 2) (I-P) with P the
-    projector onto span{|0...0>, |+...+>}; one map per n, independent of
-    the graph and of the link weights. Trace-preserving and idempotent.
+    projector onto span{|0...0>, |+...+>}: the orthogonal projector onto
+    the operators every CNOT fixes, one map per n, independent of the graph
+    and of the link weights. Trace-preserving and idempotent.
     """
     numer, denom = _asymptotic_numerator(n)
     return numer / denom
@@ -315,6 +295,15 @@ def asymptotic_channel_exact(n: int) -> list[list[Fraction]]:
         raise CostGuardError(f"exact asymptotic map refused for n={n} (max {EXACT_CHANNEL_MAX_N})")
     numer, denom = _asymptotic_numerator(n)
     return [[Fraction(int(x), denom) for x in row] for row in numer]
+
+
+def asymptotic_state(n: int, rho: np.ndarray) -> np.ndarray:
+    """Image of the coefficient vector ``rho`` under the asymptotic map, in O(4^n).
+
+    Sums b_k (b_k . rho) / |b_k|^2 over the fixed basis; no 4^n x 4^n map is formed.
+    """
+    B, norms = _fixed_basis(n)
+    return (B @ rho / norms) @ B
 
 
 def hs_distance(m1: np.ndarray, m2: np.ndarray) -> float:
@@ -352,7 +341,7 @@ def state_mixed(n: int) -> np.ndarray:
 def _mask_channel_ptm(n: int, mask: int) -> np.ndarray:
     """Uniform-weight channel of the graph encoded by ``mask``; identity if arcless."""
     if mask == 0:
-        return np.eye(4 ** n)
+        return _link_sum(n, (), 1.0)
     return channel_ptm(ChannelSpec.uniform(DirectedGraph.from_mask(n, mask)))
 
 
@@ -534,14 +523,22 @@ def static_convergence_traces(
 
 
 def _dynamic_trace(n: int, p: Prob, r_max: int):
-    """Yield (r, D(r)) for the powers of the graph-averaged single-step channel."""
-    limit = asymptotic_channel(n)
-    step = averaged_channel_ptm(n, p)
-    cur = np.eye(4 ** n)
-    for r in range(r_max + 1):
-        yield r, hs_distance(cur, limit)
-        if r < r_max:
-            cur = step @ cur
+    """Yield (r, D(r)) for the powers of the graph-averaged single-step channel S.
+
+    Every link's transfer matrix is a symmetric signed permutation that
+    fixes each basis vector of the limit L, so S L = L S = L and
+    S^r - L = (S - L)^r for r >= 1. One spectrum mu of the symmetric S - L
+    then gives D(r)^2 = sum mu^(2r) for every r, and D(0)^2 = 4^n - 5,
+    the rank of Id - L.
+    """
+    yield 0, math.sqrt(4 ** n - 5)
+    if r_max < 1:
+        return
+    mu2 = np.linalg.eigvalsh(averaged_channel_ptm(n, p) - asymptotic_channel(n)) ** 2
+    power = mu2
+    for r in range(1, r_max + 1):
+        yield r, math.sqrt(power.sum())
+        power = power * mu2
 
 
 def convergence_trace(

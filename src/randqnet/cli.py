@@ -235,22 +235,19 @@ def _cmd_evolve(args) -> int:
 def _cmd_asymptote(args) -> int:
     if args.n < 2:
         raise UsageError("--n must be >= 2")
-    if args.n > 6:
-        raise CostGuardError("asymptotic map refused for n > 6")
+    if args.n > 10:
+        raise CostGuardError("asymptotic state refused for n > 10 (4^n coefficients)")
     n = args.n
-    if args.state == "zero":
-        rho = channels.state_zero(n)
-    elif args.state == "plus":
-        rho = channels.state_plus(n)
-    elif args.state == "mixed":
-        rho = channels.state_mixed(n)
+    named = {"zero": channels.state_zero, "plus": channels.state_plus, "mixed": channels.state_mixed}
+    if args.state in named:
+        rho = named[args.state](n)
     else:
         with open(args.state, encoding="utf-8") as fh:
             coeffs = json.load(fh)
         rho = np.asarray(coeffs, dtype=float)
         if rho.size != 4 ** n:
             raise UsageError(f"coefficient file must hold {4 ** n} values for n={n}")
-    sigma = channels.asymptotic_channel(n) @ rho
+    sigma = channels.asymptotic_state(n, rho)
     rows = [
         {"index": a, "word": channels.index_to_word(a, n), "coefficient": _fmt(c, args.precision)}
         for a, c in enumerate(sigma)

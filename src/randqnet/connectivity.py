@@ -55,6 +55,7 @@ __all__ = [
 
 # Largest n for which a rational p stays on the exact path (pc_curve, pc table).
 EXACT_PC_MAX_N = 30
+FLOAT_PC_MAX_N = 1030  # float binomial rows C(n - 1, j) stay finite up to here
 
 
 def _partitions_desc(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -163,7 +164,7 @@ class ConnectivitySession:
         return pw
 
     def _binom_row(self, n: int) -> list[Prob]:
-        """C(n, j) for j = 0..n in the number type of ``p``."""
+        """C(n, j) for j = 0..n in the number type of ``p``; OverflowError past binary64."""
         row = self._binom.get(n)
         if row is None:
             one = c = self._one
@@ -171,6 +172,9 @@ class ConnectivitySession:
             for j in range(n):
                 c *= one * (n - j) / (j + 1)
                 row.append(c)
+            if c == math.inf:  # an overflowed entry stays inf to the row's end
+                raise OverflowError(f"float binomials C({n}, j) overflow; the float path "
+                                    f"supports at most n = {FLOAT_PC_MAX_N} vertices")
             self._binom[n] = row
         return row
 

@@ -67,6 +67,11 @@ def ptm_of_unitary(n: int, U: np.ndarray) -> np.ndarray:
     return M
 
 
+def dense_power_distances(step: np.ndarray, limit: np.ndarray, r_max: int) -> list[float]:
+    """||step^r - limit||_F for r = 0..r_max by dense matrix powers."""
+    return [float(np.linalg.norm(np.linalg.matrix_power(step, r) - limit)) for r in range(r_max + 1)]
+
+
 def _index_words(n: int):
     for a in range(4 ** n):
         word = []

@@ -13,6 +13,7 @@ from randqnet import (
     DirectedGraph,
     asymptotic_channel,
     asymptotic_channel_exact,
+    asymptotic_state,
     averaged_channel_ptm,
     channel_ptm,
     cnot_conjugate,
@@ -26,7 +27,7 @@ from randqnet import (
     static_convergence_traces,
 )
 from randqnet.digraph import CostGuardError, arc_pairs
-from conftest import dense_cnot, kron_pauli, pauli_coeffs
+from conftest import dense_cnot, dense_power_distances, kron_pauli, pauli_coeffs
 
 
 def _uniform(g: DirectedGraph) -> np.ndarray:
@@ -205,6 +206,37 @@ def test_spanning_states_invariant_under_every_cnot():
 def test_asymptotic_channel_rejects_single_qubit():
     with pytest.raises(ValueError):
         asymptotic_channel(1)
+    with pytest.raises(ValueError):
+        asymptotic_state(1, state_mixed(1))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_fixed_basis_is_orthogonal_with_closed_form_norms(n):
+    B, norms = ch._fixed_basis(n)
+    K = 2 ** n - 1
+    assert norms == [1, K, K, K * (K - 1) // 2, 2 ** (n - 1) * K]
+    assert np.array_equal(B @ B.T, np.diag(norms))
+    assert set(np.unique(B)) <= {-1, 0, 1}
+    # every basis vector is fixed by every CNOT
+    for c, t in arc_pairs(n):
+        perm, sign = ch._cnot_index_action(n, c, t)
+        image = np.zeros_like(B)
+        image[:, perm] = B * sign.astype(np.int64)
+        assert np.array_equal(image, B)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_asymptotic_state_matches_dense_map(n, rng):
+    M = asymptotic_channel(n)
+    for _ in range(3):
+        rho = rng.normal(size=4 ** n)
+        assert np.abs(asymptotic_state(n, rho) - M @ rho).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_asymptotic_state_fixes_basis_states_exactly(n):
+    for rho in (state_zero(n), state_plus(n), state_mixed(n)):
+        assert np.array_equal(asymptotic_state(n, rho), rho)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
@@ -221,7 +253,7 @@ def test_asymptotic_channel_structure(n):
 
 
 def test_asymptotic_channel_exact_is_idempotent_and_matches_float():
-    for n in (2, 3):
+    for n in (2, 3, 4):
         exact = asymptotic_channel_exact(n)
         M = asymptotic_channel(n)
         d = 4 ** n
@@ -440,6 +472,14 @@ def test_convergence_trace_dynamic():
     dist = [d for _, d in rows]
     assert all(b <= a + 1e-12 for a, b in zip(dist, dist[1:]))
     assert dist[-1] < 1e-9
+
+
+def test_dynamic_trace_matches_dense_stepping():
+    for p in (0.2, 0.5, 0.9):
+        rows = convergence_trace(3, p, "dynamic", 40)
+        dense = dense_power_distances(averaged_channel_ptm(3, p), asymptotic_channel(3), 40)
+        assert [r for r, _ in rows] == list(range(41))
+        assert max(abs(d - e) for (_, d), e in zip(rows, dense)) <= 1e-12
 
 
 def test_convergence_trace_static_r1_matches_dynamic_r1():

@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from randqnet import state_zero
 from randqnet.cli import EXIT_COST, EXIT_OK, EXIT_USAGE, main
+from conftest import dense_cnot, ptm_of_unitary
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +161,30 @@ def test_evolve_dynamic_rmax_zero(capsys):
     assert float(rows[0]["distance"]) > 0
 
 
+def test_evolve_dynamic_rows_match_exact_powers(capsys):
+    # at n = 2, p = 1/2 the averaged step is S = A / 8 with the integer matrix
+    # A = 2 Id + 3 (P_01 + P_10), so S^r is exact; S^r L = L and tr L = 5 give
+    # D(r)^2 = ||S^r||^2 - 5 with no limit map or eigensolver involved
+    P = [np.rint(ptm_of_unitary(2, dense_cnot(2, c, t))).astype(int) for c, t in ((0, 1), (1, 0))]
+    A = (2 * np.eye(16, dtype=int) + 3 * (P[0] + P[1])).astype(object)
+    code, out, _ = run_cli(capsys, "evolve", "dynamic", "--n", "2", "--p-list", "1/2", "--rmax", "120")
+    assert code == EXIT_OK
+    rows = parse_csv(out)
+    assert [int(row["r"]) for row in rows] == list(range(121))
+    power = np.eye(16, dtype=int).astype(object)
+    wrong = []
+    with localcontext(prec=50):
+        for row in rows:
+            r = int(row["r"])
+            square = int((power * power).sum()) - 5 * 64 ** r  # 64^r D(r)^2, exact
+            exact = (Decimal(square) / Decimal(64 ** r)).sqrt()
+            half_unit = Decimal(10) ** (exact.adjusted() - 5) / 2
+            if abs(Decimal(row["distance"]) - exact) > half_unit:
+                wrong.append((r, row["distance"], f"{exact:.8e}"))
+            power = power.dot(A)
+    assert not wrong
+
+
 def test_evolve_static_r1_equals_dynamic_r1(capsys):
     _, out_d, _ = run_cli(capsys, "evolve", "dynamic", "--n", "3", "--rmax", "1", "--p-list", "0.5")
     _, out_s, _ = run_cli(capsys, "evolve", "static", "--n", "3", "--rmax", "1", "--p-list", "0.5")
@@ -218,8 +244,18 @@ def test_asymptote_bad_file_length(tmp_path, capsys):
 
 
 def test_asymptote_cost_guard(capsys):
-    code, _, _ = run_cli(capsys, "asymptote", "--n", "7")
+    code, _, _ = run_cli(capsys, "asymptote", "--n", "11")
     assert code == EXIT_COST
+
+
+def test_asymptote_above_dense_map_sizes(capsys):
+    # the state map needs O(4^n) memory, so n = 7 runs without a 4^7 x 4^7 matrix
+    code, out, _ = run_cli(capsys, "asymptote", "--n", "7", "--state", "mixed")
+    assert code == EXIT_OK
+    rows = parse_csv(out)
+    assert len(rows) == 4 ** 7
+    assert float(rows[0]["coefficient"]) == 2 ** -7
+    assert all(float(r["coefficient"]) == 0 for r in rows[1:])
 
 
 def test_unknown_flag_exits_two():

@@ -19,6 +19,7 @@ from randqnet import (
     prob_disconnected_undirected,
     prob_strongly_connected,
 )
+from randqnet.connectivity import FLOAT_PC_MAX_N
 from conftest import acyclic_interconnect_oracle, partition_sum_pc, undirected_connected_oracle
 
 HALF = Fraction(1, 2)
@@ -198,6 +199,17 @@ def test_undirected_float_matches_exact():
             exact = float(prob_disconnected_undirected(n, p))
             approx = prob_disconnected_undirected(n, float(p))
             assert approx == pytest.approx(exact, rel=1e-11, abs=1e-300)
+
+
+def test_float_binomial_overflow_raises():
+    # row C(1030, j) is the first to overflow binary64, and n = 1031 reads it:
+    # inf times a power of 1 - p would turn the sums into nan
+    assert FLOAT_PC_MAX_N == 1030
+    for p in (0.5, 0.01):
+        value = prob_disconnected_undirected(1030, p)
+        assert math.isfinite(value) and 0 < value < 1
+        with pytest.raises(OverflowError, match="at most n = 1030"):
+            prob_disconnected_undirected(1031, p)
 
 
 def test_undirected_term_ratio_identity():
