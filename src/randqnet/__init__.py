@@ -39,6 +39,7 @@ from .channels import (
     convergence_trace,
     hs_distance,
     index_to_word,
+    index_words,
     state_mixed,
     state_plus,
     state_zero,

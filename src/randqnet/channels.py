@@ -6,7 +6,7 @@ word to a single signed Pauli word, so the transfer matrix of one CNOT is
 a signed permutation of the 4^n Pauli indices and the transfer matrix of a
 random-unitary mixture is a weighted sum of such permutations. All channel
 algebra here (composition, iteration, distances) is therefore real linear
-algebra on 4^n-dimensional coefficient vectors and 4^n x 4^n arrays.
+algebra on 4^n-dimensional coefficient vectors and their transfer matrices.
 
 Conventions: Pauli words are strings over "IXYZ" with the qubit-0 letter
 first; index ``a`` carries the qubit-q letter in its q-th base-4 digit.
@@ -14,20 +14,33 @@ A state is the real coefficient vector r[a] = Tr(sigma_a rho) / 2^n, so
 r[0] = 1/2^n encodes unit trace and trace preservation of a channel is
 exactly "row 0 equals the unit vector e_0".
 
+A CNOT maps the word (x, z) by x_t ^= x_c and z_c ^= z_t, so it keeps five
+word classes (``_word_blocks``): the identity, the other {I,Z} words, the
+other {I,X} words, and the remaining words with an even and with an odd
+number of Y letters, of sizes 1, 2^n - 1, 2^n - 1, (2^n - 1)(2^(n-1) - 1)
+and (2^n - 1) 2^(n-1). Every transfer matrix here is block-diagonal over
+them. ``_link_sum`` builds one matrix per block, or the dense matrix as
+the one-block case; the public builders return dense matrices, and the
+evolution paths never form a 4^n x 4^n array.
+
 Every strongly connected network drives a state to one limit L, the
 orthogonal projector onto the five operators every CNOT fixes.
 ``_fixed_basis`` gives them as five orthogonal integer Pauli vectors, the
-only description of L: the dense map (``asymptotic_channel``) and the
-O(4^n) state map (``asymptotic_state``) are built from it.
+only description of L, one in each word class: the dense map
+(``asymptotic_channel``), the O(4^n) state map (``asymptotic_state``) and
+the rank-1 block terms of the evolution paths are built from it.
 
 A dynamic network redraws its graph every step, so its r-th iterate is the
 r-th power S^r of the graph-averaged channel S; since S^r - L = (S - L)^r,
-one eigendecomposition of S - L gives D(r) for every r. A static network
-keeps one unknown graph, so its r-th iterate is the ensemble average of
-the per-graph powers M_g^r: exact, from one representative per
-isomorphism class, up to ``STATIC_EXHAUSTIVE_MAX_N`` qubits, and over
-seeded graph draws above. ``_static_ensembles`` is the one place that
-picks between the two.
+the spectrum of S - L gives D(r) for every r. S = w_id Id + c A with A the
+sum of all link permutations, which does not depend on p, so one
+eigendecomposition of A per block and per n serves every p. A static
+network keeps one unknown graph, so its r-th iterate is the ensemble
+average of the per-graph powers M_g^r, held per block for all graphs in
+one array: exact, from one representative per isomorphism class, up to
+``STATIC_EXHAUSTIVE_MAX_N`` qubits, and over seeded graph draws above.
+``_static_ensembles`` is the one place that picks between the two, and
+the ensemble's block bytes are held to ``MEMORY_BUDGET_BYTES``.
 """
 
 from __future__ import annotations
@@ -42,12 +55,13 @@ from functools import lru_cache
 import numpy as np
 
 from .connectivity import Prob
-from .digraph import CostGuardError, DirectedGraph, arc_pairs, sample_digraph
+from .digraph import MEMORY_BUDGET_BYTES, CostGuardError, DirectedGraph, arc_pairs, sample_digraph
 
 __all__ = [
     "PAULI_LETTERS",
     "SignedPauli",
     "index_to_word",
+    "index_words",
     "cnot_conjugate",
     "ChannelSpec",
     "channel_ptm",
@@ -113,10 +127,16 @@ def _build_cnot_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _CNOT_C, _CNOT_T, _CNOT_SIGN = _build_cnot_table()
 
 
+def index_words(indices, n: int) -> np.ndarray:
+    """Pauli words of an array of indices, as a numpy string array, built from base-4 digits."""
+    digits = (np.asarray(indices)[..., None] >> (2 * np.arange(n))) & 3
+    return np.frombuffer(PAULI_LETTERS.encode(), np.uint8)[digits].view(f"S{n}")[..., 0].astype(str)
+
+
 def index_to_word(index: int, n: int) -> str:
     if not 0 <= index < 4 ** n:
         raise ValueError("index out of range")
-    return "".join(PAULI_LETTERS[(index >> (2 * q)) & 3] for q in range(n))
+    return str(index_words(index, n))
 
 
 @dataclass(frozen=True)
@@ -183,15 +203,23 @@ class ChannelSpec:
         return cls(graph, {arc: 1.0 / m for arc in graph.arcs})
 
 
-def _link_sum(n: int, weighted_arcs, w_id: float) -> np.ndarray:
-    """Dense w_id * Id + sum of w * P_uv over ((u, v), w), P_uv the link's signed permutation."""
-    d = 4 ** n
-    M = w_id * np.eye(d)
-    cols = np.arange(d)
+def _link_sum(n: int, weighted_arcs, w_id: float, blocks=None) -> list[np.ndarray]:
+    """w_id * Id + sum of w * P_uv over ((u, v), w), one matrix per word block.
+
+    P_uv is the link's signed permutation. ``blocks`` is ``_word_blocks(n)``,
+    whose classes every P_uv maps onto themselves, so each block matrix is
+    filled directly; the default is one block of all 4^n words, the dense
+    matrix.
+    """
+    if blocks is None:
+        blocks = ([np.arange(4 ** n)], np.arange(4 ** n))
+    idxs, pos = blocks
+    mats = [w_id * np.eye(len(idx)) for idx in idxs]
     for (u, v), w in weighted_arcs:
         perm, sign = _cnot_index_action(n, u, v)
-        M[perm, cols] += w * sign
-    return M
+        for M, idx in zip(mats, idxs):
+            M[pos[perm[idx]], np.arange(len(idx))] += w * sign[idx]
+    return mats
 
 
 def channel_ptm(spec: ChannelSpec) -> np.ndarray:
@@ -201,7 +229,22 @@ def channel_ptm(spec: ChannelSpec) -> np.ndarray:
     result has at most |E| non-zero entries per column and row 0 = e_0.
     """
     arcs = sorted(spec.graph.arcs)
-    return _link_sum(spec.graph.n, [(arc, spec.weights[arc]) for arc in arcs], 0.0)
+    (M,) = _link_sum(spec.graph.n, [(arc, spec.weights[arc]) for arc in arcs], 0.0)
+    return M
+
+
+def _average_weights(n: int, p: Prob) -> tuple[float, float]:
+    """w_id and c of the graph-averaged channel S = w_id * Id + c * sum of all P_uv."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if not 0 < float(p) < 1:
+        raise ValueError("p must lie strictly in (0, 1)")
+    n_arcs = n * (n - 1)
+    if isinstance(p, Fraction):
+        w_id = float((1 - p) ** n_arcs)
+    else:
+        w_id = (1.0 - float(p)) ** n_arcs
+    return w_id, (1.0 - w_id) / n_arcs
 
 
 def averaged_channel_ptm(n: int, p: Prob) -> np.ndarray:
@@ -213,17 +256,9 @@ def averaged_channel_ptm(n: int, p: Prob) -> np.ndarray:
     probability (an arcless graph applies no operation) and
     c = (1 - w_id) / (n(n-1)).
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not 0 < float(p) < 1:
-        raise ValueError("p must lie strictly in (0, 1)")
-    n_arcs = n * (n - 1)
-    if isinstance(p, Fraction):
-        w_id = float((1 - p) ** n_arcs)
-    else:
-        w_id = (1.0 - float(p)) ** n_arcs
-    c = (1.0 - w_id) / n_arcs
-    return _link_sum(n, [(arc, c) for arc in arc_pairs(n)], w_id)
+    w_id, c = _average_weights(n, p)
+    (M,) = _link_sum(n, [(arc, c) for arc in arc_pairs(n)], w_id)
+    return M
 
 
 def _pauli_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -238,6 +273,29 @@ def _pauli_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         zmask |= ((d == _Z) | (d == _Y)) << q
         ny += d == _Y
     return xmask, zmask, ny
+
+
+def _word_blocks(n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Index arrays of the five CNOT-invariant word classes, and each word's position in its class.
+
+    A CNOT maps the Pauli word (x, z) by x_t ^= x_c and z_c ^= z_t, so it
+    keeps x = 0, z = 0 and the parity of the number of Y letters. The
+    classes are the identity word; the {I,Z} words and the {I,X} words
+    without it; the other words with an even number of Y letters; and the
+    words with an odd number. Every transfer matrix in this module is
+    block-diagonal over them, and basis vector k of ``_fixed_basis`` lies
+    in class k.
+    """
+    xm, zm, ny = _pauli_masks(n)
+    label = np.where(ny % 2 == 1, 4, 3)
+    label[zm == 0] = 2
+    label[xm == 0] = 1
+    label[0] = 0
+    idxs = [np.flatnonzero(label == k) for k in range(5)]
+    pos = np.empty(4 ** n, dtype=np.int64)
+    for idx in idxs:
+        pos[idx] = np.arange(len(idx))
+    return idxs, pos
 
 
 def _fixed_basis(n: int) -> tuple[np.ndarray, list[int]]:
@@ -338,11 +396,33 @@ def state_mixed(n: int) -> np.ndarray:
 # Static (quenched) ensemble averages
 # ---------------------------------------------------------------------------
 
-def _mask_channel_ptm(n: int, mask: int) -> np.ndarray:
-    """Uniform-weight channel of the graph encoded by ``mask``; identity if arcless."""
-    if mask == 0:
-        return _link_sum(n, (), 1.0)
-    return channel_ptm(ChannelSpec.uniform(DirectedGraph.from_mask(n, mask)))
+def _mask_link_sum(n: int, mask: int, blocks) -> list[np.ndarray]:
+    """Uniform-weight channel of the graph encoded by ``mask``, per block; identity if arcless."""
+    arcs = sorted(DirectedGraph.from_mask(n, mask).arcs)
+    return _link_sum(n, [(arc, 1.0 / len(arcs)) for arc in arcs], 0.0 if arcs else 1.0, blocks)
+
+
+def _flat(mats) -> np.ndarray:
+    """The block matrices laid end to end, each row-major: one vector of the flat block space."""
+    return np.concatenate([M.ravel() for M in mats])
+
+
+def _from_blocks(flat: np.ndarray, blocks) -> np.ndarray:
+    """Dense 4^n x 4^n matrix of one flat block-space vector."""
+    idxs, pos = blocks
+    M = np.zeros((len(pos), len(pos)))
+    off = 0
+    for idx in idxs:
+        m = len(idx)
+        M[np.ix_(idx, idx)] = flat[off:off + m * m].reshape(m, m)
+        off += m * m
+    return M
+
+
+def _flat_limit(n: int, blocks) -> np.ndarray:
+    """The limit L in the flat block space: b_k b_k^T / |b_k|^2 in block k."""
+    B, norms = _fixed_basis(n)
+    return _flat([np.outer(B[k, idx], B[k, idx]) / norms[k] for k, idx in enumerate(blocks[0])])
 
 
 @lru_cache(maxsize=None)
@@ -375,19 +455,37 @@ def _iso_classes(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(classes)
 
 
-def _symmetrize(B: np.ndarray, n: int) -> np.ndarray:
-    """Sum of Pi B Pi^T over all qubit relabelings Pi.
+def _relabel_orbits(n: int, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit label of every flat block-space entry under qubit relabeling, and n!/|orbit|.
 
-    Read as a tensor with one base-4 axis per qubit for the rows and one
-    for the columns, B is relabeled by permuting the row axes and the
-    column axes alike, so each term is a strided view of B.
+    Relabeling the qubits permutes the base-4 digits of each word index and
+    keeps every word class, so Pi B Pi^T of a block-diagonal B is one
+    gather over the flat block space. The n! gathers carry each entry over
+    its orbit, |stabilizer| = n!/|orbit| times per entry.
     """
-    out = np.zeros_like(B)
-    acc = out.reshape((4,) * (2 * n))
-    T = B.reshape((4,) * (2 * n))
+    idxs, pos = blocks
+    words = np.arange(len(pos))
+    digits = [(words >> (2 * q)) & 3 for q in range(n)]
+    gathers = []
     for perm in itertools.permutations(range(n)):
-        acc += T.transpose(perm + tuple(n + a for a in perm))
-    return out
+        image = pos[sum(d << (2 * t) for d, t in zip(digits, perm))]
+        off, parts = 0, []
+        for idx in idxs:
+            m = len(idx)
+            parts.append(off + (image[idx][:, None] * m + image[idx]).ravel())
+            off += m * m
+        gathers.append(np.concatenate(parts))
+    _, orbit, size = np.unique(np.min(gathers, axis=0), return_inverse=True, return_counts=True)
+    return orbit, math.factorial(n) / size
+
+
+def _symmetrize(A: np.ndarray, orbits) -> np.ndarray:
+    """Sum of Pi B Pi^T over all qubit relabelings Pi, for each flat block-space row B of A.
+
+    That sum is n!/|orbit| times the sum of B over each entry's orbit.
+    """
+    orbit, scale = orbits
+    return np.stack([np.bincount(orbit, weights=row) * scale for row in A])[:, orbit]
 
 
 def _graph_weights(n: int, p: float, masks) -> np.ndarray:
@@ -399,37 +497,60 @@ def _graph_weights(n: int, p: float, masks) -> np.ndarray:
 class _StaticEnsemble:
     """Incrementally iterable per-graph channel powers and their averaging weights.
 
-    ``weights`` maps each edge probability the ensemble serves to one weight
-    per graph in ``masks``, computed once. With ``symmetrize`` the weighted
-    sum is also summed over the n! qubit relabelings: an exhaustive ensemble
-    holds one representative per isomorphism class, weighted by its graph
-    probability times orbit / n!, and relabeling a graph conjugates its
-    transfer matrix by the matching Pauli-index permutation, so the result
-    is the exact average over every labeled graph.
+    Each graph's powers are held per word block, all graphs in one
+    (graphs, sum of m_b^2) array, so a step is one batched ``matmul`` per
+    block and the weighted averages for every p are one product with the
+    (p, graph) weight matrix. ``weights`` maps each edge probability the
+    ensemble serves to one weight per graph in ``masks``, computed once.
+    With ``symmetrize`` the weighted sum is also summed over the n! qubit
+    relabelings: an exhaustive ensemble holds one representative per
+    isomorphism class, weighted by its graph probability times orbit / n!,
+    and relabeling a graph conjugates its transfer matrix by the matching
+    Pauli-index permutation, so the result is the exact average over every
+    labeled graph.
     """
 
     def __init__(self, n: int, masks: list[int], weights: dict, symmetrize: bool):
-        footprint = 3 * len(masks) * (4 ** n) ** 2 * 8
-        if footprint > 2_000_000_000:
+        self.blocks = _word_blocks(n)
+        self.sizes = [len(idx) for idx in self.blocks[0]]
+        per_graph = 3 * 8 * sum(m * m for m in self.sizes)  # bases, powers and buffer
+        if len(masks) * per_graph > MEMORY_BUDGET_BYTES:
             raise CostGuardError(
-                f"static ensemble of {len(masks)} distinct graphs at n={n} "
-                f"needs ~{footprint / 1e9:.1f} GB; reduce the budget"
+                f"static ensemble of {len(masks)} distinct graphs at n={n} needs "
+                f"~{len(masks) * per_graph / 1e9:.1f} GB; at most "
+                f"{MEMORY_BUDGET_BYTES // per_graph} distinct graphs fit under the "
+                f"{MEMORY_BUDGET_BYTES / 1e9:.0f} GB guard, and --budget caps the number drawn"
             )
-        self.n = n
-        self.weights = weights
-        self.symmetrize = symmetrize
-        self.bases = np.stack([_mask_channel_ptm(n, m) for m in masks])
-        self.powers = np.stack([np.eye(4 ** n)] * len(masks))
+        self.p_list = list(weights)
+        self.W = np.array([weights[p] for p in self.p_list])
+        self.bases = np.stack([_flat(_mask_link_sum(n, m, self.blocks)) for m in masks])
+        self.powers = np.tile(_flat([np.eye(m) for m in self.sizes]), (len(masks), 1))
         self._buf = np.empty_like(self.powers)
+        self.limit = _flat_limit(n, self.blocks)
+        self.orbits = _relabel_orbits(n, self.blocks) if symmetrize else None
+
+    def _per_block(self, a: np.ndarray) -> list[np.ndarray]:
+        """(graphs, m, m) views of each block of a flat (graphs, sum m^2) array."""
+        views, off = [], 0
+        for m in self.sizes:
+            views.append(a[:, off:off + m * m].reshape(len(a), m, m))
+            off += m * m
+        return views
 
     def step(self):
-        np.matmul(self.powers, self.bases, out=self._buf)
+        for P, B, out in zip(self._per_block(self.powers), self._per_block(self.bases),
+                             self._per_block(self._buf)):
+            np.matmul(P, B, out=out)
         self.powers, self._buf = self._buf, self.powers
 
-    def average(self, w: np.ndarray) -> np.ndarray:
-        """Weighted sum of the current powers."""
-        B = np.einsum("g,gab->ab", w, self.powers)
-        return _symmetrize(B, self.n) if self.symmetrize else B
+    def averages(self) -> np.ndarray:
+        """Weighted sums of the current powers, one flat row per p in ``p_list``."""
+        A = self.W @ self.powers
+        return _symmetrize(A, self.orbits) if self.orbits is not None else A
+
+    def distances(self) -> np.ndarray:
+        """Hilbert-Schmidt distance of each average to the limit, one per p in ``p_list``."""
+        return np.linalg.norm(self.averages() - self.limit, axis=1)
 
 
 def _static_ensembles(n: int, p_list: list[float], mode: str | None, budget: int, seed: int):
@@ -478,17 +599,17 @@ def static_average_iterate(
     ``exhaustive`` sums p^|E| (1-p)^(n(n-1)-|E|) M_g^r over every graph
     (n <= 4; arcless graphs contribute the identity); ``sampled`` averages
     over ``budget`` seeded graph draws with equal weights; ``None`` picks
-    exhaustive where it is allowed.
+    exhaustive where it is allowed. The blocks are scattered into one dense
+    4^n x 4^n matrix.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    pf = float(p)
-    (ens,) = _static_ensembles(n, [pf], mode, budget, seed)
+    (ens,) = _static_ensembles(n, [float(p)], mode, budget, seed)
     if r == 0:
         return np.eye(4 ** n)  # every graph contributes M^0 = Id
     for _ in range(r):
         ens.step()
-    return ens.average(ens.weights[pf])
+    return _from_blocks(ens.averages()[0], ens.blocks)
 
 
 def static_convergence_traces(
@@ -510,16 +631,36 @@ def static_convergence_traces(
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
     p_list = list(p_list)
-    limit = asymptotic_channel(n)
     traces = {}
     for ens in _static_ensembles(n, [float(p) for p in p_list], mode, budget, seed):
         for r in range(r_max + 1):
             if r:
                 ens.step()
-            for pf, w in ens.weights.items():
-                traces.setdefault(pf, []).append((r, hs_distance(ens.average(w), limit)))
+            for pf, dist in zip(ens.p_list, ens.distances()):
+                traces.setdefault(pf, []).append((r, float(dist)))
         del ens  # one ensemble in memory at a time: free it before the next is built
     return {p: traces[float(p)] for p in p_list}
+
+
+@lru_cache(maxsize=None)
+def _link_spectrum(n: int) -> np.ndarray:
+    """Eigenvalues of A = sum of P_uv over all n(n-1) links, one ``eigvalsh`` per word block.
+
+    Each block's largest eigenvalue is n(n-1), the one of its fixed-space
+    vector b_k (every P_uv fixes b_k, and no other vector is fixed by all
+    of them); it is checked and dropped, so the rest is the spectrum of A
+    on the complement of the limit's range.
+    """
+    n_arcs = n * (n - 1)
+    parts = []
+    for A in _link_sum(n, [(arc, 1.0) for arc in arc_pairs(n)], 0.0, _word_blocks(n)):
+        lam = np.linalg.eigvalsh(A)
+        if abs(lam[-1] - n_arcs) > 1e-9 * n_arcs:
+            raise ArithmeticError(f"largest link-sum eigenvalue {lam[-1]!r} is not n(n-1) = {n_arcs}")
+        parts.append(lam[:-1])
+    spectrum = np.concatenate(parts)
+    spectrum.setflags(write=False)
+    return spectrum
 
 
 def _dynamic_trace(n: int, p: Prob, r_max: int):
@@ -529,12 +670,15 @@ def _dynamic_trace(n: int, p: Prob, r_max: int):
     fixes each basis vector of the limit L, so S L = L S = L and
     S^r - L = (S - L)^r for r >= 1. One spectrum mu of the symmetric S - L
     then gives D(r)^2 = sum mu^(2r) for every r, and D(0)^2 = 4^n - 5,
-    the rank of Id - L.
+    the rank of Id - L. S = w_id * Id + c * A, and A commutes with L, so
+    off the five zero eigenvalues on the range of L mu = w_id + c * lambda
+    over ``_link_spectrum(n)``, shared by every p.
     """
     yield 0, math.sqrt(4 ** n - 5)
     if r_max < 1:
         return
-    mu2 = np.linalg.eigvalsh(averaged_channel_ptm(n, p) - asymptotic_channel(n)) ** 2
+    w_id, c = _average_weights(n, p)
+    mu2 = (w_id + c * _link_spectrum(n)) ** 2
     power = mu2
     for r in range(1, r_max + 1):
         yield r, math.sqrt(power.sum())

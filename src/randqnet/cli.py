@@ -14,8 +14,7 @@ Exit codes: 0 success, 2 usage or validation error, 3 cost-guard refusal,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import contextlib
 import json
 import sys
 from decimal import Decimal, ROUND_HALF_UP
@@ -83,20 +82,23 @@ def _fmt_fixed(value, decimals: int) -> str:
     return str(dec.quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP))
 
 
-def _write_rows(rows: list[dict], fieldnames: list[str], fmt: str, out_path: str | None) -> None:
-    if fmt == "json":
-        payload = json.dumps(rows, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        payload = buf.getvalue()
+def _write_rows(rows, fieldnames: list[str], fmt: str, out_path: str | None) -> None:
+    """Write ``rows``, value tuples in ``fieldnames`` order: CSV streamed row by row, or one JSON list.
+
+    Every field is a number, a probability, a Pauli word or empty, none of
+    which needs CSV quoting, so a CSV row is its fields joined by commas.
+    """
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        target = open(out_path, "w", encoding="utf-8", newline="")
     else:
-        sys.stdout.write(payload)
+        target = contextlib.nullcontext(sys.stdout)
+    with target as fh:
+        if fmt == "json":
+            fh.write(json.dumps([dict(zip(fieldnames, row)) for row in rows], indent=2) + "\n")
+        else:
+            line = ",".join(["%s"] * len(fieldnames)) + "\n"
+            fh.write(line % tuple(fieldnames))
+            fh.writelines(line % row for row in rows)
 
 
 def _prob_str(p) -> str:
@@ -125,7 +127,7 @@ def _cmd_pc_table(args) -> int:
     rows = []
     for n in range(2, args.nmax + 1):
         val = session.prob_strongly_connected(n)
-        rows.append({"n": n, "p_c": _fmt_fixed(val, args.precision)})
+        rows.append((n, _fmt_fixed(val, args.precision)))
     _write_rows(rows, ["n", "p_c"], args.format, args.out)
     return EXIT_OK
 
@@ -146,14 +148,8 @@ def _cmd_pc_curve(args) -> int:
         rows = []
         for n, val in curve.rows:
             bound = connectivity.lower_bound_pc(n, p) if n >= 2 else ""
-            rows.append(
-                {
-                    "n": n,
-                    "p": _prob_str(p),
-                    "p_c": _fmt(val, args.precision),
-                    "lower_bound": _fmt(bound, args.precision) if bound != "" else "",
-                }
-            )
+            rows.append((n, _prob_str(p), _fmt(val, args.precision),
+                         _fmt(bound, args.precision) if bound != "" else ""))
         if per_p:
             tag = str(p).replace("/", "-")
             _write_rows(rows, ["n", "p", "p_c", "lower_bound"], args.format, args.out.replace("{p}", tag))
@@ -170,23 +166,15 @@ def _cmd_pc_mc(args) -> int:
         raise UsageError("--n must be >= 1")
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
+    if args.threads < 1:
+        raise UsageError("--threads must be >= 1")
     est = digraph.estimate_pc_monte_carlo(
         args.n, p, args.samples, seed=args.seed, workers=args.threads
     )
-    rows = [
-        {
-            "n": args.n,
-            "p": _prob_str(p),
-            "samples": est.samples,
-            "hits": est.hits,
-            "estimate": _fmt(est.estimate, args.precision),
-            "lo": _fmt(est.lo, args.precision),
-            "hi": _fmt(est.hi, args.precision),
-            "confidence": est.confidence,
-            "seed": args.seed,
-        }
-    ]
-    _write_rows(rows, list(rows[0]), args.format, args.out)
+    row = (args.n, _prob_str(p), est.samples, est.hits, _fmt(est.estimate, args.precision),
+           _fmt(est.lo, args.precision), _fmt(est.hi, args.precision), est.confidence, args.seed)
+    fields = ["n", "p", "samples", "hits", "estimate", "lo", "hi", "confidence", "seed"]
+    _write_rows([row], fields, args.format, args.out)
     return EXIT_OK
 
 
@@ -195,7 +183,7 @@ def _cmd_pc_bound(args) -> int:
     if args.nmax < 2:
         raise UsageError("--nmax must be >= 2")
     rows = [
-        {"n": n, "p": _prob_str(p), "lower_bound": _fmt(connectivity.lower_bound_pc(n, p), args.precision)}
+        (n, _prob_str(p), _fmt(connectivity.lower_bound_pc(n, p), args.precision))
         for n in range(2, args.nmax + 1)
     ]
     _write_rows(rows, ["n", "p", "lower_bound"], args.format, args.out)
@@ -214,9 +202,7 @@ def _cmd_evolve(args) -> int:
     if args.mode == "dynamic":
         for p in p_list:
             trace = channels.convergence_trace(args.n, float(p), "dynamic", args.rmax)
-            rows.extend(
-                {"p": _prob_str(p), "r": r, "distance": _fmt(d, args.precision)} for r, d in trace
-            )
+            rows.extend((_prob_str(p), r, _fmt(d, args.precision)) for r, d in trace)
     else:
         if args.budget < 1:
             raise UsageError("--budget must be >= 1")
@@ -224,10 +210,7 @@ def _cmd_evolve(args) -> int:
             args.n, [float(p) for p in p_list], args.rmax, budget=args.budget, seed=args.seed
         )
         for p in p_list:
-            rows.extend(
-                {"p": _prob_str(p), "r": r, "distance": _fmt(d, args.precision)}
-                for r, d in traces[float(p)]
-            )
+            rows.extend((_prob_str(p), r, _fmt(d, args.precision)) for r, d in traces[float(p)])
     _write_rows(rows, ["p", "r", "distance"], args.format, args.out)
     return EXIT_OK
 
@@ -248,12 +231,23 @@ def _cmd_asymptote(args) -> int:
         if rho.size != 4 ** n:
             raise UsageError(f"coefficient file must hold {4 ** n} values for n={n}")
     sigma = channels.asymptotic_state(n, rho)
-    rows = [
-        {"index": a, "word": channels.index_to_word(a, n), "coefficient": _fmt(c, args.precision)}
-        for a, c in enumerate(sigma)
-    ]
-    _write_rows(rows, ["index", "word", "coefficient"], args.format, args.out)
+    _write_rows(_coefficient_rows(sigma, n, args.precision), ["index", "word", "coefficient"],
+                args.format, args.out)
     return EXIT_OK
+
+
+def _coefficient_rows(sigma: np.ndarray, n: int, precision: int):
+    """Yield (index, word, coefficient) rows, formatting each distinct coefficient once.
+
+    Coefficients are told apart by their bits, so -0.0 keeps its sign; the
+    words are built 2^16 rows at a time.
+    """
+    chunk = 1 << 16
+    bits, inverse = np.unique(sigma.view(np.int64), return_inverse=True)
+    text = np.array([_fmt(float(c), precision) for c in bits.view(np.float64)], dtype=object)
+    for lo in range(0, len(sigma), chunk):
+        idx = np.arange(lo, min(lo + chunk, len(sigma)))
+        yield from zip(idx.tolist(), channels.index_words(idx, n).tolist(), text[inverse[idx]].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ is plain Python.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,6 +53,10 @@ BRUTEFORCE_MAX_N = 5  # 2^(n(n-1)) graphs; n = 5 is already ~10^6
 # 1/65536 grid (exact for p = k/65536, off by at most 2^-17 otherwise).
 _MC_P_GRID = 1 << 16
 _MC_CHUNK = 1 << 16
+
+# One memory budget for the arrays a single run holds: the Monte Carlo
+# chunks in flight and the static channel ensembles.
+MEMORY_BUDGET_BYTES = 2_000_000_000
 
 
 class CostGuardError(RuntimeError):
@@ -371,6 +376,13 @@ def _mc_chunk_hits(n: int, threshold: int, size: int, seed: np.random.SeedSequen
     return _popcount(flags)
 
 
+def _mc_workers(workers: int, chunks: int) -> int:
+    """Threads worth starting: no more than requested, than CPUs, or than chunks."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    return min(workers, os.cpu_count() or 1, chunks)
+
+
 def estimate_pc_monte_carlo(
     n: int,
     p: Prob,
@@ -386,7 +398,9 @@ def estimate_pc_monte_carlo(
     results are deterministic for a given (seed, samples) and independent of
     ``workers``; merging is plain count addition. Arc draws compare uint16
     variates against round(p * 65536), i.e. p is realized on a 1/65536 grid
-    (exact at the endpoints and for p = k/65536).
+    (exact at the endpoints and for p = k/65536). At most one thread per
+    CPU and per chunk is started, and a run whose chunks in flight would
+    exceed ``MEMORY_BUDGET_BYTES`` is refused before anything is drawn.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -401,6 +415,15 @@ def estimate_pc_monte_carlo(
     plan = [_MC_CHUNK] * (samples // _MC_CHUNK)
     if samples % _MC_CHUNK:
         plan.append(samples % _MC_CHUNK)
+    workers = _mc_workers(workers, len(plan))
+    # a chunk holds a uint16 draw and a bool per arc-lane: about 3 bytes
+    chunk_bytes = 3 * n * (n - 1) * ((plan[0] + 63) & ~63)
+    if chunk_bytes * workers > MEMORY_BUDGET_BYTES:
+        raise CostGuardError(
+            f"Monte Carlo at n={n} needs ~{chunk_bytes * workers / 1e9:.1f} GB of draws "
+            f"({workers} worker(s) x {chunk_bytes / 1e9:.2f} GB per chunk), over the "
+            f"{MEMORY_BUDGET_BYTES / 1e9:.0f} GB guard"
+        )
     seeds = np.random.SeedSequence(seed).spawn(len(plan))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -1,6 +1,7 @@
 """CNOT conjugation, transfer matrices, and asymptotic channel behavior."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -169,14 +170,17 @@ def test_averaged_channel_matches_graph_enumeration(n, p):
 
 def test_qubit_relabeling_conjugates_the_transfer_matrix():
     # the class-reduced static average rests on this: symmetrizing one
-    # graph's transfer matrix over the qubit relabelings gives the sum of
-    # the transfer matrices of all its relabeled copies
+    # graph's transfer matrix over the qubit relabelings, in the flat block
+    # space, gives the sum of the transfer matrices of all its relabeled copies
     g = DirectedGraph(3, {(0, 1), (1, 2)})  # no non-trivial automorphism
     expected = sum(
         _uniform(DirectedGraph(3, {(perm[u], perm[v]) for u, v in g.arcs}))
         for perm in itertools.permutations(range(3))
     )
-    assert np.abs(ch._symmetrize(_uniform(g), 3) - expected).max() <= 1e-15
+    blocks = ch._word_blocks(3)
+    flat = ch._flat(ch._mask_link_sum(3, g.mask, blocks))
+    (summed,) = ch._symmetrize(flat[None], ch._relabel_orbits(3, blocks))
+    assert np.abs(ch._from_blocks(summed, blocks) - expected).max() <= 1e-15
 
 
 # --- asymptotic channel ------------------------------------------------------------------
@@ -223,6 +227,52 @@ def test_fixed_basis_is_orthogonal_with_closed_form_norms(n):
         image = np.zeros_like(B)
         image[:, perm] = B * sign.astype(np.int64)
         assert np.array_equal(image, B)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_word_blocks_partition_the_words_with_closed_form_sizes(n):
+    idxs, pos = ch._word_blocks(n)
+    K = 2 ** n - 1
+    assert [len(idx) for idx in idxs] == [1, K, K, K * (2 ** (n - 1) - 1), K * 2 ** (n - 1)]
+    assert np.array_equal(np.sort(np.concatenate(idxs)), np.arange(4 ** n))
+    for idx in idxs:
+        assert np.array_equal(pos[idx], np.arange(len(idx)))
+    # each fixed-space basis vector lies in exactly one block, vector k in block k
+    B, _ = ch._fixed_basis(n)
+    for k, b in enumerate(B):
+        support = np.flatnonzero(b)
+        assert [i for i, idx in enumerate(idxs) if np.isin(support, idx).any()] == [k]
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_every_cnot_maps_each_word_block_onto_itself(n):
+    idxs, _ = ch._word_blocks(n)
+    for c, t in arc_pairs(n):
+        perm, _ = ch._cnot_index_action(n, c, t)
+        for idx in idxs:
+            assert np.array_equal(np.sort(perm[idx]), idx)
+
+
+@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize("p", (0.2, 0.5, 0.9))
+def test_blocked_dynamic_spectrum_matches_dense(n, p):
+    # the p-independent link spectrum, shifted and scaled for p, is the
+    # spectrum of S - L without the five zeros on the range of L
+    dense = np.linalg.eigvalsh(averaged_channel_ptm(n, p) - asymptotic_channel(n))
+    w_id, c = ch._average_weights(n, p)
+    blocked = np.sort(np.concatenate([w_id + c * ch._link_spectrum(n), np.zeros(5)]))
+    assert np.abs(blocked - dense).max() <= 1e-13
+
+
+def test_dynamic_spectrum_builds_no_dense_matrix():
+    # at n = 5 one 4^n x 4^n float matrix is 8.4 MB; the blocks stay below it
+    tracemalloc.start()
+    try:
+        ch._link_spectrum.__wrapped__(5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (4 ** 5) ** 2 * 8
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))

@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from randqnet import state_zero
+from randqnet import asymptotic_state, index_to_word, state_mixed, state_plus, state_zero
 from randqnet.cli import EXIT_COST, EXIT_OK, EXIT_USAGE, main
 from conftest import dense_cnot, ptm_of_unitary
 
@@ -138,6 +138,19 @@ def test_pc_mc_deterministic(capsys):
     assert float(row["lo"]) <= 0.392090 <= float(row["hi"])
 
 
+def test_pc_mc_threads_below_one_is_usage_error(capsys):
+    for threads in ("0", "-2"):
+        code, _, err = run_cli(capsys, "pc", "mc", "--n", "4", "--samples", "100", "--threads", threads)
+        assert code == EXIT_USAGE
+        assert "--threads" in err
+
+
+def test_pc_mc_memory_guard(capsys):
+    code, _, err = run_cli(capsys, "pc", "mc", "--n", "120")
+    assert code == EXIT_COST
+    assert "~2.8 GB" in err
+
+
 def test_pc_mc_p_one(capsys):
     code, out, _ = run_cli(capsys, "pc", "mc", "--n", "6", "--p", "1", "--samples", "500")
     assert code == EXIT_OK
@@ -205,6 +218,16 @@ def test_evolve_static_default_n5_is_refused(capsys):
     assert "refused" in err
 
 
+@pytest.mark.parametrize("n, fits", ((5, 179), (6, 10)))
+def test_evolve_static_guard_names_the_graphs_that_fit(capsys, n, fits):
+    # the guard counts block bytes: three flat (graphs, sum of block sizes^2)
+    # arrays; it refuses before any transfer matrix is built
+    code, _, err = run_cli(capsys, "evolve", "static", "--n", str(n), "--rmax", "1")
+    assert code == EXIT_COST
+    assert f"at most {fits} distinct graphs fit" in err
+    assert "--budget" in err
+
+
 def test_evolve_static_sampled_mode(capsys):
     args = ("evolve", "static", "--n", "5", "--budget", "5",
             "--rmax", "2", "--p-list", "0.5", "--seed", "3")
@@ -216,6 +239,20 @@ def test_evolve_static_sampled_mode(capsys):
     code, _, err = run_cli(capsys, "evolve", "static", "--n", "5", "--budget", "0", "--rmax", "1")
     assert code == EXIT_USAGE
     assert "--budget" in err
+
+
+@pytest.mark.parametrize("state", ("zero", "plus", "mixed"))
+def test_asymptote_rows_match_per_index_oracle(capsys, state):
+    n = 3
+    code, out, _ = run_cli(capsys, "asymptote", "--n", str(n), "--state", state)
+    assert code == EXIT_OK
+    rho = {"zero": state_zero, "plus": state_plus, "mixed": state_mixed}[state](n)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["index", "word", "coefficient"])
+    for a, c in enumerate(asymptotic_state(n, rho)):
+        writer.writerow([a, index_to_word(a, n), format(float(c), ".6g")])
+    assert out == buf.getvalue()
 
 
 def test_asymptote_zero_state_is_fixed(capsys):

@@ -17,6 +17,7 @@ from randqnet import (
     strongly_connected_counts,
     wilson_interval,
 )
+import randqnet.digraph as digraph_module
 from randqnet.digraph import arc_index, arc_pairs
 from conftest import naive_strongly_connected
 
@@ -214,6 +215,29 @@ def test_mc_deterministic_and_worker_independent():
     assert (a.hits, a.lo, a.hi) == (b.hits, b.lo, b.hi) == (c.hits, c.lo, c.hi)
     d = estimate_pc_monte_carlo(5, 0.4, 150_000, seed=100)
     assert d.hits != a.hits
+
+
+def test_mc_workers_clamped_to_cpus_and_chunks(monkeypatch):
+    # a pure function of the request: no thread is started here
+    monkeypatch.setattr(digraph_module.os, "cpu_count", lambda: 4)
+    assert digraph_module._mc_workers(1, 100) == 1
+    assert digraph_module._mc_workers(3, 100) == 3
+    assert digraph_module._mc_workers(10_000, 100) == 4
+    assert digraph_module._mc_workers(10_000, 2) == 2
+    monkeypatch.setattr(digraph_module.os, "cpu_count", lambda: None)
+    assert digraph_module._mc_workers(8, 100) == 1
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            digraph_module._mc_workers(bad, 100)
+
+
+def test_mc_memory_guard_refuses_before_drawing():
+    # n = 120: one 2^16-lane chunk of 14 280 arcs needs ~2.8 GB of draws
+    with pytest.raises(CostGuardError, match="2.8 GB"):
+        estimate_pc_monte_carlo(120, 0.5, 10 ** 6, seed=1)
+    # the same n with one short chunk fits
+    est = estimate_pc_monte_carlo(120, 0.5, 64, seed=1)
+    assert est.samples == 64
 
 
 def test_mc_interval_contains_exact_value():
