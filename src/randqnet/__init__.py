@@ -18,12 +18,9 @@ from .digraph import (
     CostGuardError,
     DirectedGraph,
     McEstimate,
-    SccDecomposition,
     estimate_pc_monte_carlo,
     exact_pc_bruteforce,
-    is_strongly_connected,
     sample_digraph,
-    strongly_connected_components,
     strongly_connected_counts,
     wilson_interval,
 )

@@ -50,7 +50,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -373,16 +373,21 @@ def hs_distance(m1: np.ndarray, m2: np.ndarray) -> float:
     return float(np.linalg.norm(m1 - m2))
 
 
+def _product_state(n: int, letters: tuple[int, int]) -> np.ndarray:
+    """2^-n on every word made only of the two given letters, as one Kronecker power."""
+    single = np.zeros(4)
+    single[list(letters)] = 1.0
+    return reduce(np.kron, [single] * n, np.ones(1)) / 2 ** n
+
+
 def state_zero(n: int) -> np.ndarray:
     """Coefficient vector of |0...0><0...0|: 2^-n on every {I,Z} word."""
-    xm, _, _ = _pauli_masks(n)
-    return np.where(xm == 0, 1.0, 0.0) / 2 ** n
+    return _product_state(n, (_I, _Z))
 
 
 def state_plus(n: int) -> np.ndarray:
     """Coefficient vector of |+...+><+...+|: 2^-n on every {I,X} word."""
-    _, zm, _ = _pauli_masks(n)
-    return np.where(zm == 0, 1.0, 0.0) / 2 ** n
+    return _product_state(n, (_I, _X))
 
 
 def state_mixed(n: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Directed graphs, G(n, p) sampling, SCC decomposition and validation oracles.
+"""Directed graphs, G(n, p) sampling and the strong-connectivity oracles.
 
 Graphs are immutable: a vertex count plus a set of ordered pairs (no
 self-loops). Arcs are also addressable through a fixed bit layout, index
@@ -14,8 +14,7 @@ Two oracles validate the analytic recursion elsewhere in the package:
   score interval.
 
 Both use a bit-parallel reachability kernel that processes 64 graphs per
-machine word; per-graph work (sampling a single graph, Tarjan's algorithm)
-is plain Python.
+machine word; sampling a single graph is plain Python.
 """
 
 from __future__ import annotations
@@ -34,13 +33,10 @@ from .connectivity import Prob
 __all__ = [
     "CostGuardError",
     "DirectedGraph",
-    "SccDecomposition",
     "McEstimate",
     "arc_pairs",
     "arc_index",
     "sample_digraph",
-    "strongly_connected_components",
-    "is_strongly_connected",
     "strongly_connected_counts",
     "exact_pc_bruteforce",
     "wilson_interval",
@@ -49,10 +45,12 @@ __all__ = [
 
 BRUTEFORCE_MAX_N = 5  # 2^(n(n-1)) graphs; n = 5 is already ~10^6
 
-# Monte Carlo arc draws are uint16 thresholds, i.e. p is realized on a
-# 1/65536 grid (exact for p = k/65536, off by at most 2^-17 otherwise).
-_MC_P_GRID = 1 << 16
-_MC_CHUNK = 1 << 16
+# Monte Carlo arcs compare a 16-bit variate, one raw random word per binary
+# digit, with round(p * 2^16): p is realized on a 1/65536 grid (exact for
+# p = k/65536, off by at most 2^-17 otherwise).
+_MC_DIGITS = 16
+_MC_P_GRID = 1 << _MC_DIGITS
+_MC_CHUNK = 1 << 18
 
 # One memory budget for the arrays a single run holds: the Monte Carlo
 # chunks in flight and the static channel ensembles.
@@ -112,12 +110,6 @@ class DirectedGraph:
             m |= 1 << arc_index(self.n, u, v)
         return m
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in sorted(self.arcs):
-            adj[u].append(v)
-        return adj
-
 
 def _as_rng(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
@@ -140,79 +132,6 @@ def sample_digraph(n: int, p: Prob, rng) -> DirectedGraph:
     pairs = arc_pairs(n)
     draws = gen.random(len(pairs))
     return DirectedGraph(n, frozenset(pr for pr, d in zip(pairs, draws) if d < pf))
-
-
-@dataclass(frozen=True)
-class SccDecomposition:
-    """Strongly connected components plus the deduplicated condensation arcs.
-
-    Components are frozensets partitioning the vertex set, listed in
-    reverse topological order of the condensation (sinks first);
-    condensation arcs are pairs of component indices.
-    """
-
-    components: tuple
-    condensation: frozenset
-
-
-def strongly_connected_components(g: DirectedGraph) -> SccDecomposition:
-    """Tarjan's algorithm, iterative so deep graphs cannot hit the recursion limit."""
-    n = g.n
-    adj = g.adjacency()
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comp_id = [-1] * n
-    components: list[frozenset] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_id[w] = len(components)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-    condensation = frozenset(
-        (comp_id[u], comp_id[v]) for u, v in g.arcs if comp_id[u] != comp_id[v]
-    )
-    return SccDecomposition(tuple(components), condensation)
-
-
-def is_strongly_connected(g: DirectedGraph) -> bool:
-    """True iff the graph has exactly one strongly connected component."""
-    return len(strongly_connected_components(g).components) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +275,41 @@ class McEstimate:
         return (self.lo, self.hi)
 
 
+def _bernoulli_planes(bitgen: np.random.BitGenerator, threshold: int, shape: tuple) -> np.ndarray:
+    """uint64 words whose bits are independently 1 with probability threshold / 2^16.
+
+    Bit j of a word is lane j. Each lane compares a uniform 16-bit variate
+    U with the threshold, U's binary digit i being the complement of the
+    lane's bit in the raw words drawn for digit i. The comparison runs
+    least significant digit first: after digit i a bit says whether
+    U mod 2^(i+1) < threshold mod 2^(i+1), so a 1 digit of the threshold
+    ORs the next raw words in and a 0 digit ANDs them. Digits below the
+    threshold's lowest set bit cannot decide the comparison and are never
+    drawn, so p = 1/2 costs one raw word per 64 lanes.
+    """
+    if threshold <= 0:
+        return np.zeros(shape, dtype=np.uint64)
+    if threshold >= _MC_P_GRID:
+        return np.full(shape, ~np.uint64(0), dtype=np.uint64)
+    low = (threshold & -threshold).bit_length() - 1
+    planes = bitgen.random_raw(shape)
+    for digit in range(low + 1, _MC_DIGITS):
+        raw = bitgen.random_raw(shape)
+        if (threshold >> digit) & 1:
+            np.bitwise_or(planes, raw, out=planes)
+        else:
+            np.bitwise_and(planes, raw, out=planes)
+        del raw  # at most two planes are alive while the next digit is drawn
+    return planes
+
+
 def _mc_chunk_hits(n: int, threshold: int, size: int, seed: np.random.SeedSequence) -> int:
     """Count strongly connected graphs among ``size`` samples from one RNG stream."""
-    gen = np.random.Generator(np.random.PCG64(seed))
-    n_arcs = n * (n - 1)
-    padded = (size + 63) & ~63
-    draws = gen.integers(0, _MC_P_GRID, size=(n_arcs, padded), dtype=np.uint16)
-    planes = np.packbits(draws < threshold, axis=1).view(np.uint64)
+    planes = _bernoulli_planes(np.random.PCG64(seed), threshold, (n * (n - 1), (size + 63) >> 6))
     flags = _strong_flags(planes, n)
-    if padded != size:
-        # lanes are consumed packbits-style (MSB first within each byte);
-        # valid lanes are a prefix, so mask whole trailing bytes plus bits
-        byte_view = flags.view(np.uint8)
-        full_bytes = size >> 3
-        if size & 7:
-            byte_view[full_bytes] &= np.uint8((0xFF00 >> (size & 7)) & 0xFF)
-            full_bytes += 1
-        byte_view[full_bytes:] = 0
+    if size & 63:
+        # lane j of a word is its bit j; mask the lanes past the last sample
+        flags[-1] &= np.uint64((1 << (size & 63)) - 1)
     return _popcount(flags)
 
 
@@ -396,11 +333,15 @@ def estimate_pc_monte_carlo(
     The sample budget is split into fixed-size chunks, each drawing from an
     independent substream spawned from ``seed`` (``SeedSequence.spawn``), so
     results are deterministic for a given (seed, samples) and independent of
-    ``workers``; merging is plain count addition. Arc draws compare uint16
-    variates against round(p * 65536), i.e. p is realized on a 1/65536 grid
-    (exact at the endpoints and for p = k/65536). At most one thread per
-    CPU and per chunk is started, and a run whose chunks in flight would
-    exceed ``MEMORY_BUDGET_BYTES`` is refused before anything is drawn.
+    ``workers``; merging is plain count addition. A chunk is 2^18 graphs.
+    Each arc compares a 16-bit variate with round(p * 65536), built from
+    one raw 64-bit word per binary digit straight into 64-graph bit planes
+    (``_bernoulli_planes``), so p is realized on a 1/65536 grid (exact at
+    the endpoints and for p = k/65536) and p = 1/2 costs one word per 64
+    graphs. At most one thread per CPU and per chunk is started. A chunk
+    holds at most two planes of 8 bytes per arc and 64 graphs, and a run
+    whose chunks in flight would exceed ``MEMORY_BUDGET_BYTES`` is refused
+    before anything is drawn.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -416,11 +357,11 @@ def estimate_pc_monte_carlo(
     if samples % _MC_CHUNK:
         plan.append(samples % _MC_CHUNK)
     workers = _mc_workers(workers, len(plan))
-    # a chunk holds a uint16 draw and a bool per arc-lane: about 3 bytes
-    chunk_bytes = 3 * n * (n - 1) * ((plan[0] + 63) & ~63)
+    # a chunk holds two planes (the running comparison and one raw digit)
+    chunk_bytes = 2 * 8 * n * (n - 1) * ((plan[0] + 63) >> 6)
     if chunk_bytes * workers > MEMORY_BUDGET_BYTES:
         raise CostGuardError(
-            f"Monte Carlo at n={n} needs ~{chunk_bytes * workers / 1e9:.1f} GB of draws "
+            f"Monte Carlo at n={n} needs ~{chunk_bytes * workers / 1e9:.1f} GB of arc planes "
             f"({workers} worker(s) x {chunk_bytes / 1e9:.2f} GB per chunk), over the "
             f"{MEMORY_BUDGET_BYTES / 1e9:.0f} GB guard"
         )

@@ -5,6 +5,7 @@ partition helpers and acyclic-interconnect recursion (each tested against
 brute force here) into an algorithm independent of the P_C factorization.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -86,7 +87,9 @@ def _index_words(n: int):
 
 def naive_strongly_connected(g: DirectedGraph) -> bool:
     """n BFS passes: every vertex reaches every other."""
-    adj = g.adjacency()
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.arcs:
+        adj[u].append(v)
     for src in range(g.n):
         seen = {src}
         frontier = [src]
@@ -101,6 +104,81 @@ def naive_strongly_connected(g: DirectedGraph) -> bool:
         if len(seen) != g.n:
             return False
     return True
+
+
+@dataclass(frozen=True)
+class SccDecomposition:
+    """Strongly connected components plus the deduplicated condensation arcs.
+
+    Components are frozensets partitioning the vertex set, listed in
+    reverse topological order of the condensation (sinks first);
+    condensation arcs are pairs of component indices.
+    """
+
+    components: tuple
+    condensation: frozenset
+
+
+def strongly_connected_components(g: DirectedGraph) -> SccDecomposition:
+    """Tarjan's algorithm, iterative so deep graphs cannot hit the recursion limit."""
+    n = g.n
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in sorted(g.arcs):
+        adj[u].append(v)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comp_id = [-1] * n
+    components: list[frozenset] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            while pi < len(adj[v]):
+                w = adj[v][pi]
+                pi += 1
+                if index[w] == -1:
+                    work[-1] = (v, pi)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp_id[w] = len(components)
+                    comp.append(w)
+                    if w == v:
+                        break
+                components.append(frozenset(comp))
+    condensation = frozenset(
+        (comp_id[u], comp_id[v]) for u, v in g.arcs if comp_id[u] != comp_id[v]
+    )
+    return SccDecomposition(tuple(components), condensation)
+
+
+def is_strongly_connected(g: DirectedGraph) -> bool:
+    """True iff the graph has exactly one strongly connected component."""
+    return len(strongly_connected_components(g).components) == 1
 
 
 def block_digraph_is_acyclic(k: int, arcs: set) -> bool:

@@ -28,7 +28,7 @@ from randqnet import (
     static_convergence_traces,
 )
 from randqnet.digraph import CostGuardError, arc_pairs
-from conftest import dense_cnot, dense_power_distances, kron_pauli, pauli_coeffs
+from conftest import dense_cnot, dense_power_distances, is_strongly_connected, kron_pauli, pauli_coeffs
 
 
 def _uniform(g: DirectedGraph) -> np.ndarray:
@@ -337,8 +337,6 @@ def test_asymptotic_channel_against_dense_projector_map():
 def test_asymptotic_channel_absorbs_strongly_connected_channels(rng):
     # every strongly connected graph on n = 2, 3, 4 with random positive
     # weights leaves the limit map invariant on both sides
-    from randqnet import is_strongly_connected
-
     for n in (2, 3, 4):
         Minf = asymptotic_channel(n)
         worst = 0.0

@@ -1,4 +1,4 @@
-"""Graph type, sampling, SCC decomposition, and the two oracles."""
+"""Graph type, sampling, the test-side SCC oracle, and the two package oracles."""
 
 from fractions import Fraction
 
@@ -11,15 +11,13 @@ from randqnet import (
     DirectedGraph,
     estimate_pc_monte_carlo,
     exact_pc_bruteforce,
-    is_strongly_connected,
     sample_digraph,
-    strongly_connected_components,
     strongly_connected_counts,
     wilson_interval,
 )
 import randqnet.digraph as digraph_module
 from randqnet.digraph import arc_index, arc_pairs
-from conftest import naive_strongly_connected
+from conftest import is_strongly_connected, naive_strongly_connected, strongly_connected_components
 
 
 # --- graph type ---------------------------------------------------------------
@@ -206,14 +204,20 @@ def test_mc_endpoints_are_exact():
     assert estimate_pc_monte_carlo(4, 1, 5000, seed=1).estimate == 1.0
     assert estimate_pc_monte_carlo(4, 0, 5000, seed=1).estimate == 0.0
     assert estimate_pc_monte_carlo(1, Fraction(1, 2), 100, seed=1).estimate == 1.0
+    # every lane of a ragged last word, and of a ragged last chunk, counts once
+    for samples in (1, 63, 65, (1 << 18) + 77):
+        assert estimate_pc_monte_carlo(4, 1, samples, seed=1).hits == samples
+        assert estimate_pc_monte_carlo(4, 0, samples, seed=1).hits == 0
 
 
 def test_mc_deterministic_and_worker_independent():
-    a = estimate_pc_monte_carlo(5, 0.4, 150_000, seed=99)
-    b = estimate_pc_monte_carlo(5, 0.4, 150_000, seed=99)
-    c = estimate_pc_monte_carlo(5, 0.4, 150_000, seed=99, workers=3)
+    # 600 000 samples are three 2^18-graph chunks, so workers=3 runs three threads
+    assert -(-600_000 // digraph_module._MC_CHUNK) == 3
+    a = estimate_pc_monte_carlo(5, 0.4, 600_000, seed=99)
+    b = estimate_pc_monte_carlo(5, 0.4, 600_000, seed=99)
+    c = estimate_pc_monte_carlo(5, 0.4, 600_000, seed=99, workers=3)
     assert (a.hits, a.lo, a.hi) == (b.hits, b.lo, b.hi) == (c.hits, c.lo, c.hi)
-    d = estimate_pc_monte_carlo(5, 0.4, 150_000, seed=100)
+    d = estimate_pc_monte_carlo(5, 0.4, 600_000, seed=100)
     assert d.hits != a.hits
 
 
@@ -231,13 +235,66 @@ def test_mc_workers_clamped_to_cpus_and_chunks(monkeypatch):
             digraph_module._mc_workers(bad, 100)
 
 
-def test_mc_memory_guard_refuses_before_drawing():
-    # n = 120: one 2^16-lane chunk of 14 280 arcs needs ~2.8 GB of draws
-    with pytest.raises(CostGuardError, match="2.8 GB"):
-        estimate_pc_monte_carlo(120, 0.5, 10 ** 6, seed=1)
+def test_mc_memory_guard_refuses_before_drawing(monkeypatch):
+    # n = 200: two planes of one 2^18-lane chunk of 39 800 arcs need ~2.6 GB
+    def no_draws(*args):
+        raise AssertionError("drew before the guard refused")
+
+    with monkeypatch.context() as m:
+        m.setattr(digraph_module, "_mc_chunk_hits", no_draws)
+        with pytest.raises(CostGuardError, match="2.6 GB"):
+            estimate_pc_monte_carlo(200, 0.5, 10 ** 6, seed=1)
     # the same n with one short chunk fits
-    est = estimate_pc_monte_carlo(120, 0.5, 64, seed=1)
+    est = estimate_pc_monte_carlo(200, 0.5, 64, seed=1)
     assert est.samples == 64
+
+
+def test_mc_memory_guard_admits_n120_with_one_worker(monkeypatch):
+    # the estimate only, nothing is drawn: 2 planes x 8 B x 14 280 arcs x
+    # 4096 words = 0.94 GB per chunk fits once, not three times
+    chunk_sizes = []
+
+    def record_chunk(n, threshold, size, seed):
+        chunk_sizes.append(size)
+        return 0
+
+    monkeypatch.setattr(digraph_module, "_mc_chunk_hits", record_chunk)
+    est = estimate_pc_monte_carlo(120, 0.5, 10 ** 6, seed=1)
+    assert est.samples == 10 ** 6
+    assert chunk_sizes == [1 << 18] * 3 + [10 ** 6 - 3 * (1 << 18)]
+    monkeypatch.setattr(digraph_module.os, "cpu_count", lambda: 4)
+    with pytest.raises(CostGuardError, match=r"~2\.8 GB .*3 worker\(s\) x 0\.94 GB per chunk"):
+        estimate_pc_monte_carlo(120, 0.5, 10 ** 6, seed=1, workers=3)
+
+
+def _planes_oracle(seed: int, threshold: int, shape: tuple) -> np.ndarray:
+    """Bits U < threshold, U assembled lane by lane from complemented raw digits.
+
+    A fresh PCG64(seed) draws one raw array per digit of U, from the
+    threshold's lowest set bit up to digit 15 in that order. Digit i of a
+    lane's variate is the complement of the lane's bit in the array drawn
+    for digit i; lane j of a word is its bit j. Digits below the lowest set
+    bit of the threshold are never drawn and cannot change the comparison,
+    so they are taken as zero.
+    """
+    bitgen = np.random.PCG64(seed)
+    lanes = np.arange(64, dtype=np.uint64)
+    low = (threshold & -threshold).bit_length() - 1
+    u = np.zeros(shape + (64,), dtype=np.int64)
+    for digit in range(low, 16):
+        bits = (bitgen.random_raw(shape)[..., None] >> lanes) & np.uint64(1)
+        u += (1 - bits.astype(np.int64)) << digit
+    below = (u < threshold).astype(np.uint64)
+    return (below << lanes).sum(axis=-1, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("threshold", [1, 3, 19661, 32768, 45875, 65535])
+def test_bernoulli_planes_equal_u_below_threshold(threshold):
+    shape = (7, 33)
+    for seed in (0, 12345):
+        planes = digraph_module._bernoulli_planes(np.random.PCG64(seed), threshold, shape)
+        assert planes.dtype == np.uint64 and planes.shape == shape
+        assert np.array_equal(planes, _planes_oracle(seed, threshold, shape))
 
 
 def test_mc_interval_contains_exact_value():
