@@ -4,11 +4,8 @@ from .connectivity import (
     ConnectivitySession,
     PcCurve,
     Prob,
-    count_labeled_decompositions,
-    enumerate_partitions,
     lower_bound_pc,
     pc_curve,
-    prob_acyclic_interconnect,
     prob_connected_undirected,
     prob_disconnected,
     prob_disconnected_undirected,

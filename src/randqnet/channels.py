@@ -19,9 +19,10 @@ word classes (``_word_blocks``): the identity, the other {I,Z} words, the
 other {I,X} words, and the remaining words with an even and with an odd
 number of Y letters, of sizes 1, 2^n - 1, 2^n - 1, (2^n - 1)(2^(n-1) - 1)
 and (2^n - 1) 2^(n-1). Every transfer matrix here is block-diagonal over
-them. ``_link_sum`` builds one matrix per block, or the dense matrix as
-the one-block case; the public builders return dense matrices, and the
-evolution paths never form a 4^n x 4^n array.
+them. ``_link_sums`` builds the link sums of many weightings at once, each
+as one row of the flat block space (the blocks laid end to end), or of the
+dense matrix as the one-block case; the public builders return dense
+matrices, and the evolution paths never form a 4^n x 4^n array.
 
 Every strongly connected network drives a state to one limit L, the
 orthogonal projector onto the five operators every CNOT fixes.
@@ -37,8 +38,9 @@ sum of all link permutations, which does not depend on p, so one
 eigendecomposition of A per block and per n serves every p. A static
 network keeps one unknown graph, so its r-th iterate is the ensemble
 average of the per-graph powers M_g^r, held per block for all graphs in
-one array: exact, from one representative per isomorphism class, up to
-``STATIC_EXHAUSTIVE_MAX_N`` qubits, and over seeded graph draws above.
+one array: exact, from one representative per class of graphs up to
+relabeling and reversal, up to ``STATIC_EXHAUSTIVE_MAX_N`` qubits, and
+over seeded graph draws above.
 ``_static_ensembles`` is the one place that picks between the two, and
 the ensemble's block bytes are held to ``MEMORY_BUDGET_BYTES``.
 """
@@ -80,7 +82,7 @@ __all__ = [
 
 PAULI_LETTERS = "IXYZ"
 
-STATIC_EXHAUSTIVE_MAX_N = 4   # isomorphism classes of 2^(n(n-1)) graphs; 218 at n = 4
+STATIC_EXHAUSTIVE_MAX_N = 4   # 2^(n(n-1)) graphs in 144 classes up to relabeling and reversal at n = 4
 EXACT_CHANNEL_MAX_N = 4       # exact rational asymptotic map
 
 _I, _X, _Y, _Z = 0, 1, 2, 3
@@ -195,6 +197,9 @@ class ChannelSpec:
         if abs(sum(vals) - 1.0) > 1e-9:
             raise ValueError("link weights must sum to 1")
 
+    def __hash__(self):
+        return hash((self.graph, frozenset(self.weights.items())))
+
     @classmethod
     def uniform(cls, graph: DirectedGraph) -> "ChannelSpec":
         m = len(graph.arcs)
@@ -203,23 +208,48 @@ class ChannelSpec:
         return cls(graph, {arc: 1.0 / m for arc in graph.arcs})
 
 
-def _link_sum(n: int, weighted_arcs, w_id: float, blocks=None) -> list[np.ndarray]:
-    """w_id * Id + sum of w * P_uv over ((u, v), w), one matrix per word block.
+def _flat_rows(blocks) -> np.ndarray:
+    """Per word a, where its row starts in the flat block space: entry (a, b) sits at rows[a] + pos[b]."""
+    idxs, pos = blocks
+    rows = np.empty(len(pos), dtype=np.int64)
+    off = 0
+    for idx in idxs:
+        rows[idx] = off + pos[idx] * len(idx)
+        off += len(idx) ** 2
+    return rows
 
-    P_uv is the link's signed permutation. ``blocks`` is ``_word_blocks(n)``,
-    whose classes every P_uv maps onto themselves, so each block matrix is
-    filled directly; the default is one block of all 4^n words, the dense
-    matrix.
+
+def _block_views(flat: np.ndarray, blocks) -> list[np.ndarray]:
+    """(rows, m, m) views of each block of a flat (rows, sum of m^2) array."""
+    views, off = [], 0
+    for m in (len(idx) for idx in blocks[0]):
+        views.append(flat[:, off:off + m * m].reshape(len(flat), m, m))
+        off += m * m
+    return views
+
+
+def _link_sums(n: int, W, w_id, blocks=None) -> np.ndarray:
+    """w_id * Id + sum over arcs of W[:, a] * P_a, one flat block-space row per row of W.
+
+    P_a is the signed permutation of link a, and W has one column per arc
+    in ``arc_pairs`` order; ``w_id`` is one number or one per row.
+    ``blocks`` is ``_word_blocks(n)``, whose classes every P_a maps onto
+    themselves; the default is one block of all 4^n words, so a row is the
+    dense matrix, row-major. One pass over the arcs: each arc's flat
+    positions and signs are computed once and added into every row, so a
+    row's entries sum their arcs in ``arc_pairs`` order, and an arc of
+    weight 0 leaves them unchanged.
     """
     if blocks is None:
         blocks = ([np.arange(4 ** n)], np.arange(4 ** n))
-    idxs, pos = blocks
-    mats = [w_id * np.eye(len(idx)) for idx in idxs]
-    for (u, v), w in weighted_arcs:
+    rows, pos = _flat_rows(blocks), blocks[1]
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    flat = np.zeros((len(W), sum(len(idx) ** 2 for idx in blocks[0])))
+    flat[:, rows + pos] = np.reshape(w_id, (-1, 1))
+    for a, (u, v) in enumerate(arc_pairs(n)):
         perm, sign = _cnot_index_action(n, u, v)
-        for M, idx in zip(mats, idxs):
-            M[pos[perm[idx]], np.arange(len(idx))] += w * sign[idx]
-    return mats
+        flat[:, rows[perm] + pos] += W[:, a:a + 1] * sign  # entry (perm[w], w) for every word w
+    return flat
 
 
 def channel_ptm(spec: ChannelSpec) -> np.ndarray:
@@ -228,9 +258,9 @@ def channel_ptm(spec: ChannelSpec) -> np.ndarray:
     Each link contributes its signed permutation weighted by q_l; the
     result has at most |E| non-zero entries per column and row 0 = e_0.
     """
-    arcs = sorted(spec.graph.arcs)
-    (M,) = _link_sum(spec.graph.n, [(arc, spec.weights[arc]) for arc in arcs], 0.0)
-    return M
+    n = spec.graph.n
+    W = [spec.weights.get(arc, 0.0) for arc in arc_pairs(n)]
+    return _link_sums(n, W, 0.0).reshape(4 ** n, 4 ** n)
 
 
 def _average_weights(n: int, p: Prob) -> tuple[float, float]:
@@ -257,8 +287,7 @@ def averaged_channel_ptm(n: int, p: Prob) -> np.ndarray:
     c = (1 - w_id) / (n(n-1)).
     """
     w_id, c = _average_weights(n, p)
-    (M,) = _link_sum(n, [(arc, c) for arc in arc_pairs(n)], w_id)
-    return M
+    return _link_sums(n, np.full(n * (n - 1), c), w_id).reshape(4 ** n, 4 ** n)
 
 
 def _pauli_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -401,15 +430,20 @@ def state_mixed(n: int) -> np.ndarray:
 # Static (quenched) ensemble averages
 # ---------------------------------------------------------------------------
 
-def _mask_link_sum(n: int, mask: int, blocks) -> list[np.ndarray]:
-    """Uniform-weight channel of the graph encoded by ``mask``, per block; identity if arcless."""
-    arcs = sorted(DirectedGraph.from_mask(n, mask).arcs)
-    return _link_sum(n, [(arc, 1.0 / len(arcs)) for arc in arcs], 0.0 if arcs else 1.0, blocks)
-
-
 def _flat(mats) -> np.ndarray:
     """The block matrices laid end to end, each row-major: one vector of the flat block space."""
     return np.concatenate([M.ravel() for M in mats])
+
+
+def _uniform_weights(n: int, masks) -> tuple[np.ndarray, np.ndarray]:
+    """``_link_sums`` weights of the uniform-weight channel of every graph in ``masks``.
+
+    W[g, a] is 1/|E| where graph g holds arc a and 0 elsewhere; arcless
+    graphs apply the identity, w_id = 1.
+    """
+    has = (np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(n * (n - 1))) & 1
+    arcs = has.sum(axis=1)
+    return has / np.maximum(arcs, 1)[:, None], (arcs == 0).astype(float)
 
 
 def _from_blocks(flat: np.ndarray, blocks) -> np.ndarray:
@@ -432,62 +466,58 @@ def _flat_limit(n: int, blocks) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _iso_classes(n: int) -> tuple[tuple[int, int], ...]:
-    """(representative mask, orbit size) for digraphs up to vertex relabeling."""
+    """(representative mask, orbit size) for digraphs up to vertex relabeling and arc reversal.
+
+    Each class is represented by its smallest mask, in ascending order, and
+    the orbit sizes sum to 2^(n(n-1)): 3, 13 and 144 classes at n = 2, 3
+    and 4. Reversal is a symmetry of the channel algebra because the global
+    Hadamard swaps the control and target of every CNOT (see
+    ``_relabel_orbits``), and it keeps the arc count and so the graph's
+    probability.
+    """
     pairs = arc_pairs(n)
-    n_arcs = len(pairs)
-    arc_maps = []
+    arc_maps = []  # arc slot -> image slot, for each relabeling, without and with reversal
     for perm in itertools.permutations(range(n)):
         arc_maps.append([pairs.index((perm[u], perm[v])) for (u, v) in pairs])
-    seen = bytearray(1 << n_arcs)
-    classes = []
-    for mask in range(1 << n_arcs):
-        if seen[mask]:
-            continue
-        orbit = set()
-        for amap in arc_maps:
-            m2 = 0
-            mm = mask
-            j = 0
-            while mm:
-                if mm & 1:
-                    m2 |= 1 << amap[j]
-                mm >>= 1
-                j += 1
-            orbit.add(m2)
-        for m2 in orbit:
-            seen[m2] = 1
-        classes.append((mask, len(orbit)))
-    return tuple(classes)
+        arc_maps.append([pairs.index((perm[v], perm[u])) for (u, v) in pairs])
+    bits = (np.arange(1 << len(pairs))[:, None] >> np.arange(len(pairs))) & 1
+    images = bits @ (1 << np.array(arc_maps).T)
+    reps, orbit = np.unique(images.min(axis=1), return_counts=True)
+    return tuple(zip(reps.tolist(), orbit.tolist()))
 
 
 def _relabel_orbits(n: int, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit label of every flat block-space entry under qubit relabeling, and n!/|orbit|.
+    """Orbit label of every flat block-space entry under relabeling and Hadamard, and 2 n!/|orbit|.
 
     Relabeling the qubits permutes the base-4 digits of each word index and
     keeps every word class, so Pi B Pi^T of a block-diagonal B is one
-    gather over the flat block space. The n! gathers carry each entry over
-    its orbit, |stabilizer| = n!/|orbit| times per entry.
+    gather over the flat block space. The global Hadamard maps X <-> Z and
+    Y -> -Y on every qubit, so H M_g H = M_reverse(g); it swaps the {I,Z}
+    and {I,X} classes, which have one size, and keeps the others, and the Y
+    signs cancel because each class has one Y-letter parity, so it is a
+    gather too, into the image word's class. The 2 n! gathers carry each
+    entry over its orbit, |stabilizer| = 2 n!/|orbit| times per entry.
     """
     idxs, pos = blocks
+    rows = _flat_rows(blocks)
+    entry_row = np.concatenate([np.repeat(idx, len(idx)) for idx in idxs])  # (a, b) of each entry
+    entry_col = np.concatenate([np.tile(idx, len(idx)) for idx in idxs])
     words = np.arange(len(pos))
     digits = [(words >> (2 * q)) & 3 for q in range(n)]
-    gathers = []
-    for perm in itertools.permutations(range(n)):
-        image = pos[sum(d << (2 * t) for d, t in zip(digits, perm))]
-        off, parts = 0, []
-        for idx in idxs:
-            m = len(idx)
-            parts.append(off + (image[idx][:, None] * m + image[idx]).ravel())
-            off += m * m
-        gathers.append(np.concatenate(parts))
-    _, orbit, size = np.unique(np.min(gathers, axis=0), return_inverse=True, return_counts=True)
-    return orbit, math.factorial(n) / size
+    least = None
+    for letters in (np.array([_I, _X, _Y, _Z]), np.array([_I, _Z, _Y, _X])):
+        for perm in itertools.permutations(range(n)):
+            image = sum(letters[d] << (2 * t) for d, t in zip(digits, perm))
+            gather = rows[image][entry_row] + pos[image][entry_col]
+            least = gather if least is None else np.minimum(least, gather, out=least)
+    _, orbit, count = np.unique(least, return_inverse=True, return_counts=True)
+    return orbit, 2 * math.factorial(n) / count
 
 
 def _symmetrize(A: np.ndarray, orbits) -> np.ndarray:
-    """Sum of Pi B Pi^T over all qubit relabelings Pi, for each flat block-space row B of A.
+    """Sum of g B g^T over the 2 n! relabelings and Hadamard conjugations g, for each flat row B of A.
 
-    That sum is n!/|orbit| times the sum of B over each entry's orbit.
+    That sum is 2 n!/|orbit| times the sum of B over each entry's orbit.
     """
     orbit, scale = orbits
     return np.stack([np.bincount(orbit, weights=row) * scale for row in A])[:, orbit]
@@ -503,22 +533,24 @@ class _StaticEnsemble:
     """Incrementally iterable per-graph channel powers and their averaging weights.
 
     Each graph's powers are held per word block, all graphs in one
-    (graphs, sum of m_b^2) array, so a step is one batched ``matmul`` per
-    block and the weighted averages for every p are one product with the
-    (p, graph) weight matrix. ``weights`` maps each edge probability the
-    ensemble serves to one weight per graph in ``masks``, computed once.
-    With ``symmetrize`` the weighted sum is also summed over the n! qubit
-    relabelings: an exhaustive ensemble holds one representative per
-    isomorphism class, weighted by its graph probability times orbit / n!,
-    and relabeling a graph conjugates its transfer matrix by the matching
-    Pauli-index permutation, so the result is the exact average over every
-    labeled graph.
+    (graphs, sum of m_b^2) array built in one pass (``_link_sums``),
+    so a step is one batched ``matmul`` per block and the weighted averages
+    for every p are one product with the (p, graph) weight matrix. The
+    powers start at r = 1, as a copy of the bases. ``weights`` maps each
+    edge probability the ensemble serves to one weight per graph in
+    ``masks``, computed once. With ``symmetrize`` the weighted sum is also
+    summed over the n! qubit relabelings, each with and without the global
+    Hadamard: an exhaustive ensemble holds one representative per class of
+    graphs up to relabeling and reversal, weighted by its graph probability
+    times orbit / (2 n!). Relabeling a graph conjugates its transfer matrix
+    by the matching Pauli-index permutation and reversing it conjugates by
+    the Hadamard, so the result is the exact average over every labeled
+    graph.
     """
 
     def __init__(self, n: int, masks: list[int], weights: dict, symmetrize: bool):
         self.blocks = _word_blocks(n)
-        self.sizes = [len(idx) for idx in self.blocks[0]]
-        per_graph = 3 * 8 * sum(m * m for m in self.sizes)  # bases, powers and buffer
+        per_graph = 3 * 8 * sum(len(idx) ** 2 for idx in self.blocks[0])  # bases, powers and buffer
         if len(masks) * per_graph > MEMORY_BUDGET_BYTES:
             raise CostGuardError(
                 f"static ensemble of {len(masks)} distinct graphs at n={n} needs "
@@ -528,23 +560,14 @@ class _StaticEnsemble:
             )
         self.p_list = list(weights)
         self.W = np.array([weights[p] for p in self.p_list])
-        self.bases = np.stack([_flat(_mask_link_sum(n, m, self.blocks)) for m in masks])
-        self.powers = np.tile(_flat([np.eye(m) for m in self.sizes]), (len(masks), 1))
+        self.bases = _link_sums(n, *_uniform_weights(n, masks), self.blocks)
+        self.powers = self.bases.copy()  # r = 1
         self._buf = np.empty_like(self.powers)
         self.limit = _flat_limit(n, self.blocks)
         self.orbits = _relabel_orbits(n, self.blocks) if symmetrize else None
 
-    def _per_block(self, a: np.ndarray) -> list[np.ndarray]:
-        """(graphs, m, m) views of each block of a flat (graphs, sum m^2) array."""
-        views, off = [], 0
-        for m in self.sizes:
-            views.append(a[:, off:off + m * m].reshape(len(a), m, m))
-            off += m * m
-        return views
-
     def step(self):
-        for P, B, out in zip(self._per_block(self.powers), self._per_block(self.bases),
-                             self._per_block(self._buf)):
+        for P, B, out in zip(*(_block_views(a, self.blocks) for a in (self.powers, self.bases, self._buf))):
             np.matmul(P, B, out=out)
         self.powers, self._buf = self._buf, self.powers
 
@@ -559,14 +582,15 @@ class _StaticEnsemble:
 
 
 def _static_ensembles(n: int, p_list: list[float], mode: str | None, budget: int, seed: int):
-    """Yield ensembles whose averages give the static iterate at every p in ``p_list``.
+    """Ensembles whose averages give the static iterate at every p in ``p_list``.
 
     ``mode=None`` is ``"exhaustive"`` up to ``STATIC_EXHAUSTIVE_MAX_N``
-    qubits and ``"sampled"`` above. ``exhaustive`` weighs the isomorphism
-    classes by p^|E| (1-p)^(n(n-1)-|E|) (arcless graphs apply the
-    identity), one ensemble for all p; ``sampled`` weighs ``budget`` seeded
-    draws equally, one ensemble per p, each built only when the caller asks
-    for the next.
+    qubits and ``"sampled"`` above. ``exhaustive`` weighs the classes up
+    to relabeling and reversal by p^|E| (1-p)^(n(n-1)-|E|) (arcless graphs
+    apply the identity), one ensemble for all p; ``sampled`` weighs
+    ``budget`` seeded draws equally, one ensemble per p. ``n`` and ``mode``
+    are checked at once; the result is an iterator that builds each
+    ensemble only when the caller asks for the next.
     """
     if mode is None:
         mode = "exhaustive" if n <= STATIC_EXHAUSTIVE_MAX_N else "sampled"
@@ -575,20 +599,29 @@ def _static_ensembles(n: int, p_list: list[float], mode: str | None, budget: int
             raise CostGuardError(
                 f"exhaustive static average refused for n={n} (max {STATIC_EXHAUSTIVE_MAX_N})"
             )
-        classes = _iso_classes(n)
-        masks = [m for m, _ in classes]
-        orbit = np.array([o for _, o in classes], dtype=float)
-        weights = {p: _graph_weights(n, p, masks) * orbit / math.factorial(n) for p in p_list}
-        yield _StaticEnsemble(n, masks, weights, symmetrize=True)
+
+        def build():
+            classes = _iso_classes(n)
+            masks = [m for m, _ in classes]
+            orbit = np.array([o for _, o in classes], dtype=float)
+            weights = {p: _graph_weights(n, p, masks) * orbit / (2 * math.factorial(n)) for p in p_list}
+            yield _StaticEnsemble(n, masks, weights, symmetrize=True)
     elif mode == "sampled":
-        for p in dict.fromkeys(p_list):
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
-            counter = Counter(sample_digraph(n, p, rng).mask for _ in range(budget))
-            masks = sorted(counter)
-            w = np.array([counter[m] / budget for m in masks])
-            yield _StaticEnsemble(n, masks, {p: w}, symmetrize=False)
+        def build():
+            for p in dict.fromkeys(p_list):
+                rng = np.random.default_rng(np.random.SeedSequence(seed))
+                counter = Counter(sample_digraph(n, p, rng).mask for _ in range(budget))
+                masks = sorted(counter)
+                w = np.array([counter[m] / budget for m in masks])
+                yield _StaticEnsemble(n, masks, {p: w}, symmetrize=False)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    return build()
+
+
+def _identity_distance(n: int) -> float:
+    """D(0), the norm of Id - L: a projector of rank 4^n - 5, since L has rank 5."""
+    return math.sqrt(4 ** n - 5)
 
 
 def static_average_iterate(
@@ -609,10 +642,11 @@ def static_average_iterate(
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    (ens,) = _static_ensembles(n, [float(p)], mode, budget, seed)
+    ensembles = _static_ensembles(n, [float(p)], mode, budget, seed)  # checks n and mode
     if r == 0:
         return np.eye(4 ** n)  # every graph contributes M^0 = Id
-    for _ in range(r):
+    (ens,) = ensembles
+    for _ in range(r - 1):  # the ensemble starts at r = 1
         ens.step()
     return _from_blocks(ens.averages()[0], ens.blocks)
 
@@ -631,7 +665,9 @@ def static_convergence_traces(
     ensemble-averaged r-th power and the asymptotic map; ``mode``,
     ``budget`` and ``seed`` are as in ``static_average_iterate``. The
     exhaustive per-graph powers do not depend on p, so all requested p
-    values share one sweep.
+    values share one sweep. Every graph's M^0 is Id, so D(0) is
+    ``_identity_distance(n)``, and the sweep starts from the bases at r = 1
+    and takes r_max - 1 steps.
     """
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
@@ -639,9 +675,10 @@ def static_convergence_traces(
     traces = {}
     for ens in _static_ensembles(n, [float(p) for p in p_list], mode, budget, seed):
         for r in range(r_max + 1):
-            if r:
+            if r > 1:
                 ens.step()
-            for pf, dist in zip(ens.p_list, ens.distances()):
+            dists = ens.distances() if r else [_identity_distance(n)] * len(ens.p_list)
+            for pf, dist in zip(ens.p_list, dists):
                 traces.setdefault(pf, []).append((r, float(dist)))
         del ens  # one ensemble in memory at a time: free it before the next is built
     return {p: traces[float(p)] for p in p_list}
@@ -658,7 +695,8 @@ def _link_spectrum(n: int) -> np.ndarray:
     """
     n_arcs = n * (n - 1)
     parts = []
-    for A in _link_sum(n, [(arc, 1.0) for arc in arc_pairs(n)], 0.0, _word_blocks(n)):
+    blocks = _word_blocks(n)
+    for (A,) in _block_views(_link_sums(n, np.ones(n_arcs), 0.0, blocks), blocks):
         lam = np.linalg.eigvalsh(A)
         if abs(lam[-1] - n_arcs) > 1e-9 * n_arcs:
             raise ArithmeticError(f"largest link-sum eigenvalue {lam[-1]!r} is not n(n-1) = {n_arcs}")
@@ -674,12 +712,12 @@ def _dynamic_trace(n: int, p: Prob, r_max: int):
     Every link's transfer matrix is a symmetric signed permutation that
     fixes each basis vector of the limit L, so S L = L S = L and
     S^r - L = (S - L)^r for r >= 1. One spectrum mu of the symmetric S - L
-    then gives D(r)^2 = sum mu^(2r) for every r, and D(0)^2 = 4^n - 5,
-    the rank of Id - L. S = w_id * Id + c * A, and A commutes with L, so
+    then gives D(r)^2 = sum mu^(2r) for every r >= 1, and D(0) is
+    ``_identity_distance(n)``. S = w_id * Id + c * A, and A commutes with L, so
     off the five zero eigenvalues on the range of L mu = w_id + c * lambda
     over ``_link_spectrum(n)``, shared by every p.
     """
-    yield 0, math.sqrt(4 ** n - 5)
+    yield 0, _identity_distance(n)
     if r_max < 1:
         return
     w_id, c = _average_weights(n, p)

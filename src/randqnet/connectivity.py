@@ -6,8 +6,6 @@ this module evaluates
 
 * the probability that the graph is strongly connected,
 * the complementary probability that it is not,
-* the probability that a prescribed split of the vertices into strongly
-  connected groups carries no directed cycle between the groups,
 * the connectivity probability of the undirected G(n, p) model, and
 * an exponential lower bound useful for large ``n``.
 
@@ -23,9 +21,8 @@ when ``p`` is a ``Fraction`` and IEEE-754 binary64 when ``p`` is a float;
 
 The partition view of the same quantity (a non-strongly-connected digraph
 splits uniquely into at least two maximal strongly connected pieces whose
-quotient graph is acyclic) survives as ``enumerate_partitions``,
-``count_labeled_decompositions`` and ``prob_acyclic_interconnect``; the
-test suite assembles them into an independent exact oracle.
+quotient graph is acyclic) lives in the test suite as an independent exact
+oracle.
 """
 
 from __future__ import annotations
@@ -33,17 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, product
-from typing import Iterator, Sequence, Union
+from typing import Union
 
 Prob = Union[Fraction, float]
 
 __all__ = [
     "Prob",
-    "enumerate_partitions",
-    "count_labeled_decompositions",
     "ConnectivitySession",
-    "prob_acyclic_interconnect",
     "prob_disconnected",
     "prob_strongly_connected",
     "prob_connected_undirected",
@@ -56,55 +49,6 @@ __all__ = [
 # Largest n for which a rational p stays on the exact path (pc_curve, pc table).
 EXACT_PC_MAX_N = 30
 FLOAT_PC_MAX_N = 1030  # float binomial rows C(n - 1, j) stay finite up to here
-
-
-def _partitions_desc(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of ``n`` with parts <= max_part, non-increasing, reverse-lex order."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions_desc(n - first, first):
-            yield (first,) + rest
-
-
-def enumerate_partitions(n: int, min_length: int = 1) -> list[tuple[int, ...]]:
-    """List all partitions of ``n`` with at least ``min_length`` parts.
-
-    Each partition is a non-increasing tuple of positive integers summing
-    to ``n``; the list is in reverse-lexicographic order, e.g.
-    ``enumerate_partitions(4, 2) == [(3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]``.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if min_length < 1:
-        raise ValueError("min_length must be >= 1")
-    return [parts for parts in _partitions_desc(n, n) if len(parts) >= min_length]
-
-
-def count_labeled_decompositions(parts: Sequence[int]) -> int:
-    """Number of ways to split sum(parts) labeled items into unlabeled groups of these sizes.
-
-    Multinomial coefficient divided by the factorials of the multiplicities
-    of repeated group sizes; the empty partition counts as 1.
-    """
-    parts = _canonical(parts)
-    if not parts:
-        return 1
-    n = sum(parts)
-    count = math.factorial(n)
-    for size in parts:
-        count //= math.factorial(size)
-    for _, grp in groupby(parts):
-        count //= math.factorial(len(tuple(grp)))
-    return count
-
-
-def _canonical(parts: Sequence[int]) -> tuple[int, ...]:
-    parts = tuple(int(x) for x in parts)
-    if any(x < 1 for x in parts):
-        raise ValueError("partition parts must be positive integers")
-    return tuple(sorted(parts, reverse=True))
 
 
 def _check_open_unit(p: Prob) -> None:
@@ -148,7 +92,6 @@ class ConnectivitySession:
         self._q = 1 - p  # probability that a given arc is absent
         self._qpow: list[Prob] = []
         self._binom: dict[int, list[Prob]] = {}
-        self._acyclic: dict[tuple[int, ...], Prob] = {(): one}
         # entry n belongs to n vertices; index 0 is a placeholder
         self._reach: list[Prob] = [one, one]
         self._miss: list[Prob] = [one - one, one - one]  # 1 - R, summed directly
@@ -177,56 +120,6 @@ class ConnectivitySession:
                                     f"supports at most n = {FLOAT_PC_MAX_N} vertices")
             self._binom[n] = row
         return row
-
-    def prob_acyclic_interconnect(self, parts: Sequence[int]) -> Prob:
-        """Probability that arcs between the given vertex groups form no directed cycle.
-
-        The groups, of sizes ``parts``, are contracted to super-nodes; an
-        arc between two groups of sizes a and b exists with probability
-        1 - (1-p)^(ab). Returned is the probability that the contracted
-        digraph is acyclic. Empty and single-group splits give 1.
-        """
-        return self._acyclic_rec(_canonical(parts))
-
-    def _acyclic_rec(self, parts: tuple[int, ...]) -> Prob:
-        memo = self._acyclic
-        val = memo.get(parts)
-        if val is not None:
-            return val
-        if len(parts) == 1:
-            memo[parts] = self._one
-            return self._one
-        n = sum(parts)
-        # Inclusion-exclusion over the sub-multisets of groups that have no
-        # outgoing arcs: identical sub-multisets are grouped, each weighted
-        # by the product of binomials over repeated group sizes.
-        sizes = []
-        counts = []
-        for s, grp in groupby(parts):
-            sizes.append(s)
-            counts.append(len(tuple(grp)))
-        qpow = self._powers(n * n)
-        total = 0
-        for choice in product(*(range(c + 1) for c in counts)):
-            chosen = sum(choice)
-            if chosen == 0:
-                continue
-            m = 0
-            sqsum = 0
-            coeff = 1
-            for j, s, c in zip(choice, sizes, counts):
-                m += j * s
-                sqsum += j * s * s
-                coeff = coeff * math.comb(c, j)
-            residual = []
-            for j, s, c in zip(choice, sizes, counts):
-                residual.extend([s] * (c - j))
-            # forbidden arcs: every chosen group loses all m_i(n - m_i)
-            # of its outgoing arcs, which totals m*n - sum(m_i^2)
-            term = coeff * qpow[m * n - sqsum] * self._acyclic_rec(tuple(residual))
-            total = total + term if chosen % 2 else total - term
-        memo[parts] = total
-        return total
 
     def prob_strongly_connected(self, n: int) -> Prob:
         """Probability that G(n, p) is strongly connected."""
@@ -292,11 +185,6 @@ class ConnectivitySession:
 
 
 # -- module-level conveniences (fresh session per call) --
-
-def prob_acyclic_interconnect(parts: Sequence[int], p: Prob) -> Prob:
-    """Probability that arcs between vertex groups of sizes ``parts`` form no directed cycle."""
-    return ConnectivitySession(p).prob_acyclic_interconnect(parts)
-
 
 def prob_disconnected(n: int, p: Prob) -> Prob:
     """Probability that G(n, p) is not strongly connected."""

@@ -50,7 +50,7 @@ BRUTEFORCE_MAX_N = 5  # 2^(n(n-1)) graphs; n = 5 is already ~10^6
 # p = k/65536, off by at most 2^-17 otherwise).
 _MC_DIGITS = 16
 _MC_P_GRID = 1 << _MC_DIGITS
-_MC_CHUNK = 1 << 18
+_MC_CHUNK = 1 << 18  # graphs per chunk, halved at large n until two arc planes fit the budget
 
 # One memory budget for the arrays a single run holds: the Monte Carlo
 # chunks in flight and the static channel ensembles.
@@ -313,6 +313,23 @@ def _mc_chunk_hits(n: int, threshold: int, size: int, seed: np.random.SeedSequen
     return _popcount(flags)
 
 
+def _plane_bytes(n: int, size: int) -> int:
+    """Bytes of a ``size``-graph chunk's two arc planes: the running comparison and one raw digit."""
+    return 2 * 8 * n * (n - 1) * ((size + 63) >> 6)
+
+
+def _mc_chunk(n: int) -> int:
+    """Graphs per chunk: the largest power of two up to ``_MC_CHUNK`` whose planes fit the budget.
+
+    It depends only on n, so the chunk seeds, and with them the hits, do not
+    depend on the number of workers. Every n <= 175 gets the full 2^18.
+    """
+    chunk = _MC_CHUNK
+    while chunk > 64 and _plane_bytes(n, chunk) > MEMORY_BUDGET_BYTES:
+        chunk >>= 1
+    return chunk
+
+
 def _mc_workers(workers: int, chunks: int) -> int:
     """Threads worth starting: no more than requested, than CPUs, or than chunks."""
     if workers < 1:
@@ -333,15 +350,17 @@ def estimate_pc_monte_carlo(
     The sample budget is split into fixed-size chunks, each drawing from an
     independent substream spawned from ``seed`` (``SeedSequence.spawn``), so
     results are deterministic for a given (seed, samples) and independent of
-    ``workers``; merging is plain count addition. A chunk is 2^18 graphs.
+    ``workers``; merging is plain count addition. A chunk is 2^18 graphs,
+    or the largest power of two below that fits the memory budget
+    (``_mc_chunk``).
     Each arc compares a 16-bit variate with round(p * 65536), built from
     one raw 64-bit word per binary digit straight into 64-graph bit planes
     (``_bernoulli_planes``), so p is realized on a 1/65536 grid (exact at
     the endpoints and for p = k/65536) and p = 1/2 costs one word per 64
-    graphs. At most one thread per CPU and per chunk is started. A chunk
-    holds at most two planes of 8 bytes per arc and 64 graphs, and a run
-    whose chunks in flight would exceed ``MEMORY_BUDGET_BYTES`` is refused
-    before anything is drawn.
+    graphs. A chunk holds at most two planes of 8 bytes per arc and 64
+    graphs. At most one thread per CPU and per chunk is started, and no
+    more than fit their chunks in ``MEMORY_BUDGET_BYTES``; a run is refused
+    before anything is drawn only when one 64-graph chunk does not fit.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -353,18 +372,17 @@ def estimate_pc_monte_carlo(
     if n == 1:
         return McEstimate(samples, samples, 1.0, *wilson_interval(samples, samples, confidence), confidence)
     threshold = round(pf * _MC_P_GRID)
-    plan = [_MC_CHUNK] * (samples // _MC_CHUNK)
-    if samples % _MC_CHUNK:
-        plan.append(samples % _MC_CHUNK)
-    workers = _mc_workers(workers, len(plan))
-    # a chunk holds two planes (the running comparison and one raw digit)
-    chunk_bytes = 2 * 8 * n * (n - 1) * ((plan[0] + 63) >> 6)
-    if chunk_bytes * workers > MEMORY_BUDGET_BYTES:
+    chunk = _mc_chunk(n)
+    if _plane_bytes(n, chunk) > MEMORY_BUDGET_BYTES:
         raise CostGuardError(
-            f"Monte Carlo at n={n} needs ~{chunk_bytes * workers / 1e9:.1f} GB of arc planes "
-            f"({workers} worker(s) x {chunk_bytes / 1e9:.2f} GB per chunk), over the "
+            f"Monte Carlo at n={n} needs ~{_plane_bytes(n, chunk) / 1e9:.1f} GB of arc planes "
+            f"for the smallest chunk of {chunk} graphs, over the "
             f"{MEMORY_BUDGET_BYTES / 1e9:.0f} GB guard"
         )
+    plan = [chunk] * (samples // chunk)
+    if samples % chunk:
+        plan.append(samples % chunk)
+    workers = min(_mc_workers(workers, len(plan)), MEMORY_BUDGET_BYTES // _plane_bytes(n, plan[0]))
     seeds = np.random.SeedSequence(seed).spawn(len(plan))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -1,23 +1,19 @@
 """Shared test oracles, kept independent of the package implementations.
 
-The one exception is ``partition_sum_pc``, which assembles the package's
-partition helpers and acyclic-interconnect recursion (each tested against
-brute force here) into an algorithm independent of the P_C factorization.
+``partition_sum_pc`` assembles the partition helpers and the
+acyclic-interconnect recursion below (each tested against brute force)
+into an exact P_C algorithm independent of the package's factorization.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 import pytest
 
-from randqnet import (
-    ConnectivitySession,
-    DirectedGraph,
-    count_labeled_decompositions,
-    enumerate_partitions,
-)
+from randqnet import DirectedGraph
 
 
 # --- dense quantum oracles -------------------------------------------------
@@ -219,6 +215,121 @@ def acyclic_interconnect_oracle(parts, p: Fraction) -> Fraction:
     return total
 
 
+# --- partition view of strong connectivity ---------------------------------------
+
+def _partitions_desc(n: int, max_part: int):
+    """Partitions of ``n`` with parts <= max_part, non-increasing, reverse-lex order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in _partitions_desc(n - first, first):
+            yield (first,) + rest
+
+
+def enumerate_partitions(n: int, min_length: int = 1) -> list[tuple[int, ...]]:
+    """List all partitions of ``n`` with at least ``min_length`` parts.
+
+    Each partition is a non-increasing tuple of positive integers summing
+    to ``n``; the list is in reverse-lexicographic order, e.g.
+    ``enumerate_partitions(4, 2) == [(3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]``.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if min_length < 1:
+        raise ValueError("min_length must be >= 1")
+    return [parts for parts in _partitions_desc(n, n) if len(parts) >= min_length]
+
+
+def _canonical(parts) -> tuple[int, ...]:
+    parts = tuple(int(x) for x in parts)
+    if any(x < 1 for x in parts):
+        raise ValueError("partition parts must be positive integers")
+    return tuple(sorted(parts, reverse=True))
+
+
+def count_labeled_decompositions(parts) -> int:
+    """Number of ways to split sum(parts) labeled items into unlabeled groups of these sizes.
+
+    Multinomial coefficient divided by the factorials of the multiplicities
+    of repeated group sizes; the empty partition counts as 1.
+    """
+    parts = _canonical(parts)
+    if not parts:
+        return 1
+    count = math.factorial(sum(parts))
+    for size in parts:
+        count //= math.factorial(size)
+    for _, grp in groupby(parts):
+        count //= math.factorial(len(tuple(grp)))
+    return count
+
+
+class AcyclicInterconnect:
+    """Memoized acyclic-interconnect probabilities at one edge probability ``p``."""
+
+    def __init__(self, p):
+        if not 0 < p < 1:
+            raise ValueError(f"edge probability must satisfy 0 < p < 1, got {p!r}")
+        self._one = type(p)(1)
+        self._q = 1 - p
+        self._memo = {(): self._one}
+
+    def prob_acyclic_interconnect(self, parts):
+        """Probability that arcs between the given vertex groups form no directed cycle.
+
+        The groups, of sizes ``parts``, are contracted to super-nodes; an
+        arc between two groups of sizes a and b exists with probability
+        1 - (1-p)^(ab). Returned is the probability that the contracted
+        digraph is acyclic. Empty and single-group splits give 1.
+        """
+        return self._acyclic_rec(_canonical(parts))
+
+    def _acyclic_rec(self, parts: tuple[int, ...]):
+        memo = self._memo
+        val = memo.get(parts)
+        if val is not None:
+            return val
+        if len(parts) == 1:
+            memo[parts] = self._one
+            return self._one
+        n = sum(parts)
+        # Inclusion-exclusion over the sub-multisets of groups that have no
+        # outgoing arcs: identical sub-multisets are grouped, each weighted
+        # by the product of binomials over repeated group sizes.
+        sizes = []
+        counts = []
+        for s, grp in groupby(parts):
+            sizes.append(s)
+            counts.append(len(tuple(grp)))
+        total = 0
+        for choice in product(*(range(c + 1) for c in counts)):
+            chosen = sum(choice)
+            if chosen == 0:
+                continue
+            m = 0
+            sqsum = 0
+            coeff = 1
+            for j, s, c in zip(choice, sizes, counts):
+                m += j * s
+                sqsum += j * s * s
+                coeff = coeff * math.comb(c, j)
+            residual = []
+            for j, s, c in zip(choice, sizes, counts):
+                residual.extend([s] * (c - j))
+            # forbidden arcs: every chosen group loses all m_i(n - m_i)
+            # of its outgoing arcs, which totals m*n - sum(m_i^2)
+            term = coeff * self._q ** (m * n - sqsum) * self._acyclic_rec(tuple(residual))
+            total = total + term if chosen % 2 else total - term
+        memo[parts] = total
+        return total
+
+
+def prob_acyclic_interconnect(parts, p):
+    """Probability that arcs between vertex groups of sizes ``parts`` form no directed cycle."""
+    return AcyclicInterconnect(p).prob_acyclic_interconnect(parts)
+
+
 def partition_sum_pc(n_max: int, p: Fraction) -> list[Fraction]:
     """Exact P_C(0..n_max) by inclusion-exclusion over integer partitions.
 
@@ -228,12 +339,12 @@ def partition_sum_pc(n_max: int, p: Fraction) -> list[Fraction]:
     number of labeled splits times the per-piece P_C values times the
     acyclic-interconnect probability. Entry 0 is a placeholder.
     """
-    session = ConnectivitySession(p)
+    acyclic = AcyclicInterconnect(p)
     pc = [Fraction(1), Fraction(1)]
     for n in range(2, n_max + 1):
         disconnected = Fraction(0)
         for parts in enumerate_partitions(n, min_length=2):
-            term = count_labeled_decompositions(parts) * session.prob_acyclic_interconnect(parts)
+            term = count_labeled_decompositions(parts) * acyclic.prob_acyclic_interconnect(parts)
             for size in parts:
                 term *= pc[size]
             disconnected += term

@@ -28,7 +28,14 @@ from randqnet import (
     static_convergence_traces,
 )
 from randqnet.digraph import CostGuardError, arc_pairs
-from conftest import dense_cnot, dense_power_distances, is_strongly_connected, kron_pauli, pauli_coeffs
+from conftest import (
+    dense_cnot,
+    dense_power_distances,
+    is_strongly_connected,
+    kron_pauli,
+    pauli_coeffs,
+    ptm_of_unitary,
+)
 
 
 def _uniform(g: DirectedGraph) -> np.ndarray:
@@ -146,6 +153,15 @@ def test_channel_spec_validation():
         ChannelSpec(g, {(1, 0): 1.0})
 
 
+def test_channel_spec_is_hashable():
+    g = DirectedGraph(3, {(0, 1), (1, 2)})
+    a = ChannelSpec(g, {(0, 1): 0.25, (1, 2): 0.75})
+    b = ChannelSpec(DirectedGraph(3, {(1, 2), (0, 1)}), {(1, 2): 0.75, (0, 1): 0.25})
+    c = ChannelSpec.uniform(g)
+    assert a == b and hash(a) == hash(b)
+    assert {a, b, c} == {a, c} and len({a, b, c}) == 2
+
+
 def test_two_qubit_complete_average_closed_form():
     p = 0.3
     M = averaged_channel_ptm(2, p)
@@ -168,19 +184,78 @@ def test_averaged_channel_matches_graph_enumeration(n, p):
     assert np.abs(averaged_channel_ptm(n, p) - acc).max() <= 1e-14
 
 
+def _reverse(g: DirectedGraph) -> DirectedGraph:
+    return DirectedGraph(g.n, {(v, u) for u, v in g.arcs})
+
+
 def test_qubit_relabeling_conjugates_the_transfer_matrix():
     # the class-reduced static average rests on this: symmetrizing one
-    # graph's transfer matrix over the qubit relabelings, in the flat block
-    # space, gives the sum of the transfer matrices of all its relabeled copies
-    g = DirectedGraph(3, {(0, 1), (1, 2)})  # no non-trivial automorphism
+    # graph's transfer matrix over the qubit relabelings and the global
+    # Hadamard, in the flat block space, gives the sum of the transfer
+    # matrices of all its relabeled copies and of theirs reversed
+    g = DirectedGraph(3, {(0, 1), (1, 0), (1, 2)})  # fixed by no relabeling or reversal
     expected = sum(
-        _uniform(DirectedGraph(3, {(perm[u], perm[v]) for u, v in g.arcs}))
+        _uniform(DirectedGraph(3, {(perm[u], perm[v]) for u, v in h.arcs}))
         for perm in itertools.permutations(range(3))
+        for h in (g, _reverse(g))
     )
     blocks = ch._word_blocks(3)
-    flat = ch._flat(ch._mask_link_sum(3, g.mask, blocks))
-    (summed,) = ch._symmetrize(flat[None], ch._relabel_orbits(3, blocks))
+    flat = ch._link_sums(3, *ch._uniform_weights(3, [g.mask]), blocks)
+    (summed,) = ch._symmetrize(flat, ch._relabel_orbits(3, blocks))
     assert np.abs(ch._from_blocks(summed, blocks) - expected).max() <= 1e-15
+
+
+def test_global_hadamard_reverses_every_link():
+    # H (x) H (x) H maps X <-> Z and Y -> -Y, so it swaps control and target of every CNOT
+    H1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    T = ptm_of_unitary(3, np.kron(np.kron(H1, H1), H1))
+    for mask in range(1, 1 << 6):
+        g = DirectedGraph.from_mask(3, mask)
+        assert np.abs(T @ _uniform(g) @ T - _uniform(_reverse(g))).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n, classes", [(2, 3), (3, 13), (4, 144)])
+def test_iso_classes_up_to_relabeling_and_reversal(n, classes):
+    reps = ch._iso_classes(n)
+    assert len(reps) == classes
+    assert sum(orbit for _, orbit in reps) == 1 << (n * (n - 1))
+    # each representative is the smallest mask of its class, and no two share a class
+    seen = set()
+    for mask, orbit in reps:
+        g = DirectedGraph.from_mask(n, mask)
+        images = {
+            DirectedGraph(n, {(perm[u], perm[v]) for u, v in h.arcs}).mask
+            for perm in itertools.permutations(range(n))
+            for h in (g, _reverse(g))
+        }
+        assert len(images) == orbit and min(images) == mask
+        assert not images & seen
+        seen |= images
+
+
+def _link_ptm(n: int, control: int, target: int) -> np.ndarray:
+    # dense signed permutation of one CNOT, column by column from cnot_conjugate
+    P = np.zeros((4 ** n, 4 ** n))
+    for b in range(4 ** n):
+        sp = cnot_conjugate(index_to_word(b, n), control, target)
+        P[sum("IXYZ".index(c) * 4 ** q for q, c in enumerate(sp.word)), b] = sp.sign
+    return P
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_batched_link_sums_equal_dense_link_sums(n):
+    # every class's row, bit for bit, against the sum of the dense CNOT
+    # transfer matrices of its arcs, added in arc_pairs order
+    blocks = ch._word_blocks(n)
+    masks = [mask for mask, _ in ch._iso_classes(n)]
+    rows = ch._link_sums(n, *ch._uniform_weights(n, masks), blocks)
+    links = [_link_ptm(n, u, v) for u, v in arc_pairs(n)]
+    for mask, row in zip(masks, rows):
+        held = [P for a, P in enumerate(links) if mask >> a & 1]
+        expected = np.eye(4 ** n) if not held else np.zeros((4 ** n, 4 ** n))
+        for P in held:
+            expected = expected + P * (1.0 / len(held))
+        assert np.array_equal(ch._from_blocks(row, blocks), expected)
 
 
 # --- asymptotic channel ------------------------------------------------------------------

@@ -146,11 +146,11 @@ def test_pc_mc_threads_below_one_is_usage_error(capsys):
 
 
 def test_pc_mc_memory_guard(capsys):
-    # two arc planes of one 2^18-graph chunk: 2 x 8 B x 39 800 arcs x 4096 words
-    code, _, err = run_cli(capsys, "pc", "mc", "--n", "200")
+    # two arc planes of the smallest, 64-graph chunk: 2 x 8 B x 143 988 000 arcs x 1 word
+    code, _, err = run_cli(capsys, "pc", "mc", "--n", "12000")
     assert code == EXIT_COST
-    assert "~2.6 GB" in err
-    assert "2.61 GB per chunk" in err
+    assert "~2.3 GB" in err
+    assert "smallest chunk of 64 graphs" in err
 
 
 def test_pc_mc_p_one(capsys):

@@ -8,19 +8,23 @@ import pytest
 
 from randqnet import (
     ConnectivitySession,
-    enumerate_partitions,
     estimate_pc_monte_carlo,
     exact_pc_bruteforce,
     lower_bound_pc,
     pc_curve,
-    prob_acyclic_interconnect,
     prob_connected_undirected,
     prob_disconnected,
     prob_disconnected_undirected,
     prob_strongly_connected,
 )
 from randqnet.connectivity import FLOAT_PC_MAX_N
-from conftest import acyclic_interconnect_oracle, partition_sum_pc, undirected_connected_oracle
+from conftest import (
+    AcyclicInterconnect,
+    acyclic_interconnect_oracle,
+    partition_sum_pc,
+    prob_acyclic_interconnect,
+    undirected_connected_oracle,
+)
 
 HALF = Fraction(1, 2)
 P_GRID = [Fraction(1, 5), Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), HALF, Fraction(2, 3)]
@@ -65,7 +69,7 @@ def test_acyclic_upper_bounded_by_single_block_removals():
     # removing one outgoing-free block at a time overcounts, giving an upper bound
     for parts in [(2, 1), (2, 2), (2, 1, 1), (3, 2, 1), (1, 1, 1, 1)]:
         for p in (Fraction(1, 3), HALF):
-            session = ConnectivitySession(p)
+            session = AcyclicInterconnect(p)
             n = sum(parts)
             bound = Fraction(0)
             for i, m in enumerate(parts):

@@ -1,5 +1,6 @@
 """Graph type, sampling, the test-side SCC oracle, and the two package oracles."""
 
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -236,35 +237,64 @@ def test_mc_workers_clamped_to_cpus_and_chunks(monkeypatch):
 
 
 def test_mc_memory_guard_refuses_before_drawing(monkeypatch):
-    # n = 200: two planes of one 2^18-lane chunk of 39 800 arcs need ~2.6 GB
+    # n = 12 000: two planes of the smallest, 64-graph chunk of 143 988 000 arcs need ~2.3 GB
     def no_draws(*args):
         raise AssertionError("drew before the guard refused")
 
     with monkeypatch.context() as m:
         m.setattr(digraph_module, "_mc_chunk_hits", no_draws)
-        with pytest.raises(CostGuardError, match="2.6 GB"):
-            estimate_pc_monte_carlo(200, 0.5, 10 ** 6, seed=1)
-    # the same n with one short chunk fits
+        with pytest.raises(CostGuardError, match=r"~2\.3 GB .*smallest chunk of 64 graphs"):
+            estimate_pc_monte_carlo(12_000, 0.5, 10 ** 6, seed=1)
+    # a large n whose short chunk fits is drawn for real
     est = estimate_pc_monte_carlo(200, 0.5, 64, seed=1)
     assert est.samples == 64
 
 
+def test_mc_chunk_sized_from_memory_budget(monkeypatch):
+    # the plan only, nothing is drawn: 2 planes x 8 B x 39 800 arcs x 2^18/64
+    # words = 2.6 GB, so n = 200 runs 2^17-graph chunks of 1.3 GB, one at a time
+    assert [digraph_module._mc_chunk(n) for n in (2, 120, 175)] == [1 << 18] * 3
+    assert [digraph_module._mc_chunk(n) for n in (176, 200)] == [1 << 17] * 2
+    chunk_sizes = []
+
+    def seeded_hits(n, threshold, size, seed):
+        chunk_sizes.append(size)
+        return int(seed.generate_state(1)[0]) % (size + 1)
+
+    monkeypatch.setattr(digraph_module, "_mc_chunk_hits", seeded_hits)
+    monkeypatch.setattr(digraph_module.os, "cpu_count", lambda: 4)
+    one = estimate_pc_monte_carlo(200, 0.5, 10 ** 6, seed=1)
+    assert chunk_sizes == [1 << 17] * 7 + [10 ** 6 - 7 * (1 << 17)]
+    two = estimate_pc_monte_carlo(200, 0.5, 10 ** 6, seed=1, workers=2)
+    assert sorted(chunk_sizes[8:]) == sorted(chunk_sizes[:8])
+    assert one.hits == two.hits
+
+
 def test_mc_memory_guard_admits_n120_with_one_worker(monkeypatch):
     # the estimate only, nothing is drawn: 2 planes x 8 B x 14 280 arcs x
-    # 4096 words = 0.94 GB per chunk fits once, not three times
+    # 4096 words = 0.94 GB per chunk fits twice, not three times
     chunk_sizes = []
+    pools = []
 
     def record_chunk(n, threshold, size, seed):
         chunk_sizes.append(size)
         return 0
 
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
     monkeypatch.setattr(digraph_module, "_mc_chunk_hits", record_chunk)
+    monkeypatch.setattr(digraph_module, "ThreadPoolExecutor", RecordingPool)
     est = estimate_pc_monte_carlo(120, 0.5, 10 ** 6, seed=1)
     assert est.samples == 10 ** 6
     assert chunk_sizes == [1 << 18] * 3 + [10 ** 6 - 3 * (1 << 18)]
+    assert pools == []
+    # three requested workers are clamped to the two whose chunks fit
     monkeypatch.setattr(digraph_module.os, "cpu_count", lambda: 4)
-    with pytest.raises(CostGuardError, match=r"~2\.8 GB .*3 worker\(s\) x 0\.94 GB per chunk"):
-        estimate_pc_monte_carlo(120, 0.5, 10 ** 6, seed=1, workers=3)
+    estimate_pc_monte_carlo(120, 0.5, 10 ** 6, seed=1, workers=3)
+    assert pools == [2]
 
 
 def _planes_oracle(seed: int, threshold: int, shape: tuple) -> np.ndarray:

@@ -6,8 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from randqnet import count_labeled_decompositions, enumerate_partitions
-from conftest import partition_count, set_partitions
+from conftest import count_labeled_decompositions, enumerate_partitions, partition_count, set_partitions
 
 
 def test_enumeration_examples():
