@@ -11,12 +11,12 @@ this module evaluates
 
 The core algorithm is a reachability factorization (see
 ``ConnectivitySession``): conditioning on the set of vertices that reach
-a fixed vertex gives P_C(n) in O(n^3) operations from two auxiliary
-reachability recurrences. The first of them, the probability that a
-fixed vertex reaches all others, is the undirected connectivity
-recurrence, so the same tables answer the undirected model. One code path
-serves every number type, so the result is exact (``fractions.Fraction``)
-when ``p`` is a ``Fraction`` and IEEE-754 binary64 when ``p`` is a float;
+a fixed vertex gives P_C(n) in O(n^3) operations from one auxiliary
+reachability recurrence. Its t = 1 row, the probability that a fixed
+vertex reaches all others, is the undirected connectivity recurrence, so
+the same table answers the undirected model. One code path serves every
+number type, so the result is exact (``fractions.Fraction``) when ``p``
+is a ``Fraction`` and IEEE-754 binary64 when ``p`` is a float;
 ``pc_curve`` keeps a rational ``p`` exact up to ``EXACT_PC_MAX_N``.
 
 The partition view of the same quantity (a non-strongly-connected digraph
@@ -62,24 +62,24 @@ class ConnectivitySession:
     One session holds the memo tables for a single ``p``; distinct sessions
     may be used freely from concurrent threads. All arithmetic happens in
     the number type of ``p`` (exact for a ``Fraction``, binary64 for a
-    float) on one code path. With q = 1 - p, three recurrences, each
+    float) on one code path. With q = 1 - p, two recurrences, each
     conditioning on an exact reached set, give strong connectivity:
 
-    * R(n) = 1 - sum_{k<n} C(n-1, k-1) R(k) q^(k(n-k)), the probability
-      that vertex 1 reaches every vertex; this is term for term the
-      undirected connectivity recurrence (Gilbert 1959), so R(n) is also
-      the probability that an undirected G(n, p) graph is connected;
     * U(t, w) = 1 - sum_{y<w} C(w, y) U(t, y) q^((t+y)(w-y)), the
       probability that a mutually reachable block of t vertices reaches all
-      of w outside vertices;
+      of w outside vertices. Its t = 1 row R(n) = U(1, n-1) is the
+      probability that vertex 1 reaches every vertex; this is term for term
+      the undirected connectivity recurrence (Gilbert 1959), so R(n) is also
+      the probability that an undirected G(n, p) graph is connected;
     * P_C(n) = R(n) - sum_{t<n} C(n-1, t-1) P_C(t) q^(t(n-t)) U(t, n-t):
       with T the co-reach set of vertex 1, vertex 1 reaches everything iff
       no arc enters T, T is strongly connected and T spreads to the rest.
 
-    The disconnection probabilities are sums of non-negative parts: the
-    sum subtracted in R(n) for the undirected graph, and that sum plus
-    sum_t(...) for the directed one, so they stay accurate in floats where
-    1 - P_C(n) rounds to zero. The recurrences share one table of powers of
+    The t = 1 row keeps, next to each R, the non-negative sum it subtracts.
+    The disconnection probabilities are sums of non-negative parts: that
+    sum for the undirected graph, and that sum plus sum_t(...) for the
+    directed one, so they stay accurate in floats where 1 - P_C(n) rounds
+    to zero. The recurrences share one table of powers of
     q and one binomial row per size; R(n) costs O(n^2) operations and
     P_C(n) O(n^3).
     """
@@ -93,11 +93,10 @@ class ConnectivitySession:
         self._qpow: list[Prob] = []
         self._binom: dict[int, list[Prob]] = {}
         # entry n belongs to n vertices; index 0 is a placeholder
-        self._reach: list[Prob] = [one, one]
-        self._miss: list[Prob] = [one - one, one - one]  # 1 - R, summed directly
         self._strong: list[Prob] = [one, one]
         self._disc: list[Prob] = [one, one - one]
-        self._spread: dict[int, list[Prob]] = {}
+        self._spread: dict[int, list[Prob]] = {}  # t -> U(t, w) for w = 0, 1, ...
+        self._reach_sums: list[Prob] = [one - one]  # 1 - U(1, w), summed directly
 
     def _powers(self, e_max: int) -> list[Prob]:
         """The shared table of q^e, each entry computed as ``q ** e``, grown to e_max."""
@@ -133,34 +132,25 @@ class ConnectivitySession:
 
     def prob_connected_undirected(self, n: int) -> Prob:
         """Probability that an undirected G(n, p) graph is connected."""
-        self._fill_reach(n)
-        return self._reach[n]
+        return self._reach_row(n)[0][n - 1]
 
     def prob_disconnected_undirected(self, n: int) -> Prob:
         """Probability that an undirected G(n, p) graph is disconnected (0 for n = 1)."""
-        self._fill_reach(n)
-        return self._miss[n]
+        return self._reach_row(n)[1][n - 1]
 
-    def _fill_reach(self, n: int) -> None:
-        """Extend R and its complement sum to n vertices, ascending."""
+    def _reach_row(self, n: int) -> tuple[list[Prob], list[Prob]]:
+        """The t = 1 row of U and its sums grown to w = n - 1, so R(m) = U(1, m - 1) for m <= n."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        one = self._one
-        reach, misses = self._reach, self._miss
-        qpow = self._powers(n * n // 4)  # k(m-k) and (t+y)(w-y) stay below
-        for m in range(len(reach), n + 1):
-            row = self._binom_row(m - 1)
-            miss = 0
-            for k in range(1, m):
-                miss += row[k - 1] * reach[k] * qpow[k * (m - k)]
-            reach.append(one - miss)
-            misses.append(miss)
+        self._powers(n * n // 4)  # (t+y)(w-y) with t + w <= n stays below
+        self._spread_upto(1, n - 1)
+        return self._spread[1], self._reach_sums
 
     def _fill(self, n: int) -> None:
-        """Extend R, P_C and the disconnection table to n vertices, ascending."""
-        self._fill_reach(n)  # also sizes the power table
+        """Extend P_C and the disconnection table to n vertices, ascending."""
+        reach, miss = self._reach_row(n)  # also sizes the power table
         one, qpow = self._one, self._qpow
-        reach, miss, strong, disc = self._reach, self._miss, self._strong, self._disc
+        strong, disc = self._strong, self._disc
         for m in range(len(strong), n + 1):
             row = self._binom_row(m - 1)
             s = 0
@@ -168,11 +158,11 @@ class ConnectivitySession:
                 s += row[t - 1] * strong[t] * qpow[t * (m - t)] * self._spread_upto(t, m - t)
             # the double complement rounds a float P_C(m) to the grid of 1,
             # so 1 - (1 - P_C) == P_C; on exact types it is the identity
-            strong.append(one - (one - (reach[m] - s)))
-            disc.append(miss[m] + s)
+            strong.append(one - (one - (reach[m - 1] - s)))
+            disc.append(miss[m - 1] + s)
 
     def _spread_upto(self, t: int, w: int) -> Prob:
-        """U(t, w), growing the row for t; ``_fill_reach`` has sized the power table."""
+        """U(t, w), growing the row for t; ``_reach_row`` has sized the power table."""
         vals = self._spread.setdefault(t, [self._one])
         qpow = self._qpow
         for m in range(len(vals), w + 1):
@@ -181,6 +171,8 @@ class ConnectivitySession:
             for y in range(m):
                 s += row[y] * vals[y] * qpow[(t + y) * (m - y)]
             vals.append(self._one - s)
+            if t == 1:  # only R needs its sum: keeping every row's costs ~10 % at n = 240
+                self._reach_sums.append(s)
         return vals[w]
 
 
@@ -218,8 +210,8 @@ def prob_connected_undirected(n: int, p: Prob) -> Prob:
 
         P(n) = 1 - sum_{k=1}^{n-1} C(n-1, k-1) P(k) (1-p)^(k(n-k))
 
-    with P(1) = 1, which is the session's R(n). Exact when ``p`` is a
-    ``Fraction``.
+    with P(1) = 1, which is the session's R(n) = U(1, n - 1). Exact when
+    ``p`` is a ``Fraction``.
     """
     return ConnectivitySession(p).prob_connected_undirected(n)
 

@@ -270,10 +270,6 @@ class McEstimate:
     hi: float
     confidence: float = 0.99
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
-
 
 def _bernoulli_planes(bitgen: np.random.BitGenerator, threshold: int, shape: tuple) -> np.ndarray:
     """uint64 words whose bits are independently 1 with probability threshold / 2^16.

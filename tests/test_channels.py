@@ -143,8 +143,11 @@ def test_channel_column_sparsity_bounded_by_arc_count():
 
 def test_channel_spec_validation():
     g = DirectedGraph(2, {(0, 1)})
-    with pytest.raises(ValueError):
-        ChannelSpec.uniform(DirectedGraph(3, set()))
+    # the uniform weights of an arcless graph are an empty dict, which the constructor refuses
+    with pytest.raises(ValueError, match="no links to apply"):
+        ChannelSpec.uniform(DirectedGraph(3))
+    with pytest.raises(ValueError, match="no links to apply"):
+        ChannelSpec(DirectedGraph(3), {})
     with pytest.raises(ValueError):
         ChannelSpec(g, {(0, 1): 0.5})
     with pytest.raises(ValueError):

@@ -171,6 +171,28 @@ def test_float_bits_are_pinned():
         assert {n: session.prob_strongly_connected(n).hex() for n in by_n} == by_n
 
 
+def test_undirected_float_bits_are_pinned():
+    # binary64 results of R(n) = U(1, n - 1) and of the sum it subtracts, as
+    # released. At p = 0.01 the n = 20 and n = 100 values are far from the
+    # exact ones (R = 6.6e-16 and 6.4e-21): 1 - sum cancels there. These
+    # pins hold the bits of the current recurrence; a more accurate one
+    # moves them on purpose
+    pinned = {
+        0.5: ({2: "0x1.0000000000000p-1", 20: "0x1.fffaffffffb8bp-1",
+               100: "0x1.0000000000000p+0", 1030: "0x1.0000000000000p+0"},
+              {2: "0x1.0000000000000p-1", 20: "0x1.40000011d38e9p-15",
+               100: "0x1.8fffffffffffcp-93", 1030: "0x1.017ffffffffe5p-1019"}),
+        0.01: ({2: "0x1.47ae147ae1480p-7", 20: "0x1.7300000000000p-41",
+                100: "0x1.0cbd8c1a80468p+18", 1030: "0x1.ef44bad5a0ee9p-1"},
+               {2: "0x1.fae147ae147aep-1", 20: "0x1.fffffffffe8d0p-1",
+                100: "-0x1.0cbd4c1a80468p+18", 1030: "0x1.0bb452a5f1177p-5"}),
+    }
+    for p, (connected, disconnected) in pinned.items():
+        session = ConnectivitySession(p)
+        assert {n: session.prob_connected_undirected(n).hex() for n in connected} == connected
+        assert {n: session.prob_disconnected_undirected(n).hex() for n in disconnected} == disconnected
+
+
 def test_sessions_are_independent_across_threads():
     def run(p):
         s = ConnectivitySession(p)
