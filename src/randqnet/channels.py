@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -57,7 +56,8 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .connectivity import Prob
-from .digraph import MEMORY_BUDGET_BYTES, CostGuardError, DirectedGraph, arc_pairs, sample_digraph
+from .digraph import (MEMORY_BUDGET_BYTES, CostGuardError, DirectedGraph, arc_index, arc_pairs,
+                      sample_arc_bits)
 
 __all__ = [
     "PAULI_LETTERS",
@@ -396,11 +396,6 @@ def state_mixed(n: int) -> np.ndarray:
 # Static (quenched) ensemble averages
 # ---------------------------------------------------------------------------
 
-def _flat(mats) -> np.ndarray:
-    """The block matrices laid end to end, each row-major: one vector of the flat block space."""
-    return np.concatenate([M.ravel() for M in mats])
-
-
 def _uniform_weights(n: int, masks) -> tuple[np.ndarray, np.ndarray]:
     """``_link_sums`` weights of the uniform-weight channel of every graph in ``masks``.
 
@@ -414,20 +409,37 @@ def _uniform_weights(n: int, masks) -> tuple[np.ndarray, np.ndarray]:
 
 def _from_blocks(flat: np.ndarray, blocks) -> np.ndarray:
     """Dense 4^n x 4^n matrix of one flat block-space vector."""
-    idxs, pos = blocks
-    M = np.zeros((len(pos), len(pos)))
-    off = 0
-    for idx in idxs:
-        m = len(idx)
-        M[np.ix_(idx, idx)] = flat[off:off + m * m].reshape(m, m)
-        off += m * m
+    M = np.zeros((len(blocks[1]), len(blocks[1])))
+    for idx, (block,) in zip(blocks[0], _block_views(flat[None], blocks)):
+        M[np.ix_(idx, idx)] = block
     return M
 
 
 def _flat_limit(n: int, blocks) -> np.ndarray:
-    """The limit L in the flat block space: b_k b_k^T / |b_k|^2 in block k."""
+    """The limit L in the flat block space, one row: b_k b_k^T / |b_k|^2 in block k."""
     B, norms = _fixed_basis(n)
-    return _flat([np.outer(B[k, idx], B[k, idx]) / norms[k] for k, idx in enumerate(blocks[0])])
+    flat = np.empty((1, sum(len(idx) ** 2 for idx in blocks[0])))
+    for k, (idx, (block,)) in enumerate(zip(blocks[0], _block_views(flat, blocks))):
+        block[:] = np.outer(B[k, idx], B[k, idx]) / norms[k]
+    return flat
+
+
+def _symmetries(n: int):
+    """Yield (arc map, word map) for the 2 n! relabelings q -> perm[q], each without and with reversal.
+
+    The arc map sends each arc slot to its image's slot, the word map each
+    Pauli index to its image's. Reversal applies the global Hadamard
+    (X <-> Z, Y -> -Y), which swaps control and target of every CNOT, so the
+    image graph's transfer matrix at (word map[a], word map[b]) is the
+    graph's at (a, b); the Y signs cancel, as each word class has one Y parity.
+    """
+    pairs = arc_pairs(n)
+    digits = [(np.arange(4 ** n) >> (2 * q)) & 3 for q in range(n)]
+    for perm in itertools.permutations(range(n)):
+        for reverse in (False, True):
+            letters = np.array([_I, _Z, _Y, _X] if reverse else [_I, _X, _Y, _Z])
+            ends = [(perm[v], perm[u]) if reverse else (perm[u], perm[v]) for u, v in pairs]
+            yield [arc_index(n, *e) for e in ends], sum(letters[d] << 2 * t for d, t in zip(digits, perm))
 
 
 @lru_cache(maxsize=None)
@@ -436,46 +448,31 @@ def _iso_classes(n: int) -> tuple[tuple[int, int], ...]:
 
     Each class is represented by its smallest mask, in ascending order, and
     the orbit sizes sum to 2^(n(n-1)): 3, 13 and 144 classes at n = 2, 3
-    and 4. Reversal is a symmetry of the channel algebra because the global
-    Hadamard swaps the control and target of every CNOT (see
-    ``_relabel_orbits``), and it keeps the arc count and so the graph's
-    probability.
+    and 4. Reversal keeps the arc count and so the graph's probability.
     """
-    pairs = arc_pairs(n)
-    arc_maps = []  # arc slot -> image slot, for each relabeling, without and with reversal
-    for perm in itertools.permutations(range(n)):
-        arc_maps.append([pairs.index((perm[u], perm[v])) for (u, v) in pairs])
-        arc_maps.append([pairs.index((perm[v], perm[u])) for (u, v) in pairs])
-    bits = (np.arange(1 << len(pairs))[:, None] >> np.arange(len(pairs))) & 1
-    images = bits @ (1 << np.array(arc_maps).T)
+    n_arcs = n * (n - 1)
+    bits = (np.arange(1 << n_arcs)[:, None] >> np.arange(n_arcs)) & 1
+    images = bits @ (1 << np.array([arcs for arcs, _ in _symmetries(n)]).T)
     reps, orbit = np.unique(images.min(axis=1), return_counts=True)
     return tuple(zip(reps.tolist(), orbit.tolist()))
 
 
 def _relabel_orbits(n: int, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit label of every flat block-space entry under relabeling and Hadamard, and 2 n!/|orbit|.
+    """Orbit label of every flat block-space entry under ``_symmetries``, and 2 n!/|orbit|.
 
-    Relabeling the qubits permutes the base-4 digits of each word index and
-    keeps every word class, so Pi B Pi^T of a block-diagonal B is one
-    gather over the flat block space. The global Hadamard maps X <-> Z and
-    Y -> -Y on every qubit, so H M_g H = M_reverse(g); it swaps the {I,Z}
-    and {I,X} classes, which have one size, and keeps the others, and the Y
-    signs cancel because each class has one Y-letter parity, so it is a
-    gather too, into the image word's class. The 2 n! gathers carry each
-    entry over its orbit, |stabilizer| = 2 n!/|orbit| times per entry.
+    Each word map keeps the word classes or swaps the {I,Z} and {I,X}
+    classes, which have one size, so moving a block-diagonal matrix by it is
+    one gather over the flat block space. The 2 n! gathers carry each entry
+    over its orbit, |stabilizer| = 2 n!/|orbit| times per entry.
     """
     idxs, pos = blocks
     rows = _flat_rows(blocks)
     entry_row = np.concatenate([np.repeat(idx, len(idx)) for idx in idxs])  # (a, b) of each entry
     entry_col = np.concatenate([np.tile(idx, len(idx)) for idx in idxs])
-    words = np.arange(len(pos))
-    digits = [(words >> (2 * q)) & 3 for q in range(n)]
     least = None
-    for letters in (np.array([_I, _X, _Y, _Z]), np.array([_I, _Z, _Y, _X])):
-        for perm in itertools.permutations(range(n)):
-            image = sum(letters[d] << (2 * t) for d, t in zip(digits, perm))
-            gather = rows[image][entry_row] + pos[image][entry_col]
-            least = gather if least is None else np.minimum(least, gather, out=least)
+    for _, image in _symmetries(n):
+        gather = rows[image][entry_row] + pos[image][entry_col]
+        least = gather if least is None else np.minimum(least, gather, out=least)
     _, orbit, count = np.unique(least, return_inverse=True, return_counts=True)
     return orbit, 2 * math.factorial(n) / count
 
@@ -554,10 +551,12 @@ def _static_ensembles(n: int, p_list: list[float], mode: str | None, budget: int
     qubits and ``"sampled"`` above. ``exhaustive`` weighs the classes up
     to relabeling and reversal by p^|E| (1-p)^(n(n-1)-|E|) (arcless graphs
     apply the identity), one ensemble for all p; ``sampled`` weighs
-    ``budget`` seeded draws equally, one ensemble per p. ``n`` and ``mode``
-    are checked at once; the result is an iterator that builds each
+    ``budget`` seeded draws equally, one ensemble per p. ``p``, ``n`` and
+    ``mode`` are checked at once; the result is an iterator that builds each
     ensemble only when the caller asks for the next.
     """
+    if not all(0 <= p <= 1 for p in p_list):
+        raise ValueError("p must lie in [0, 1]")
     if mode is None:
         mode = "exhaustive" if n <= STATIC_EXHAUSTIVE_MAX_N else "sampled"
     if mode == "exhaustive":
@@ -575,11 +574,9 @@ def _static_ensembles(n: int, p_list: list[float], mode: str | None, budget: int
     elif mode == "sampled":
         def build():
             for p in dict.fromkeys(p_list):
-                rng = np.random.default_rng(np.random.SeedSequence(seed))
-                counter = Counter(sample_digraph(n, p, rng).mask for _ in range(budget))
-                masks = sorted(counter)
-                w = np.array([counter[m] / budget for m in masks])
-                yield _StaticEnsemble(n, masks, {p: w}, symmetrize=False)
+                bits = sample_arc_bits(n, p, budget, np.random.SeedSequence(seed))
+                masks, counts = np.unique(bits @ (1 << np.arange(n * (n - 1))), return_counts=True)
+                yield _StaticEnsemble(n, masks, {p: counts / budget}, symmetrize=False)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return build()

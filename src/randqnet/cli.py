@@ -7,8 +7,8 @@ rational p in big-rational arithmetic up to ``connectivity.EXACT_PC_MAX_N``
 vertices; a decimal p, or a rational one beyond that size, uses the float
 path there and prints a note to stderr.
 
-Exit codes: 0 success, 2 usage or validation error, 3 cost-guard refusal,
-4 internal numerical failure.
+Exit codes: 0 success, 2 usage, validation or file error, 3 cost-guard
+refusal, 4 internal numerical failure.
 """
 
 from __future__ import annotations
@@ -113,21 +113,19 @@ def _cmd_pc_table(args) -> int:
     p = _parse_prob(args.p, note=True)
     if args.nmax < 2:
         raise UsageError("--nmax must be >= 2")
+    if args.nmax > connectivity.FLOAT_PC_MAX_N:
+        raise CostGuardError(f"table refused for nmax > {connectivity.FLOAT_PC_MAX_N}, "
+                             "where the float binomials overflow")
     limit = connectivity.EXACT_PC_MAX_N
-    exact = isinstance(p, Fraction)
-    if args.exact and not exact:
+    if args.exact and not isinstance(p, Fraction):
         raise UsageError("--exact requires a rational probability such as 1/2")
     if args.exact and args.nmax > limit:
         raise CostGuardError(f"exact table refused for nmax > {limit}")
-    use_exact = exact and args.nmax <= limit
-    if exact and not use_exact:
+    if isinstance(p, Fraction) and args.nmax > limit:
         print(f"note: rational probability {args.p} uses the float path for nmax > {limit}",
               file=sys.stderr)
-    session = connectivity.ConnectivitySession(p if use_exact else float(p))
-    rows = []
-    for n in range(2, args.nmax + 1):
-        val = session.prob_strongly_connected(n)
-        rows.append((n, _fmt_fixed(val, args.precision)))
+    curve = connectivity.pc_curve(args.nmax, p)  # picks the exact or the float path
+    rows = [(n, _fmt_fixed(val, args.precision)) for n, val in curve.rows[1:]]
     _write_rows(rows, ["n", "p_c"], args.format, args.out)
     return EXIT_OK
 
@@ -329,7 +327,7 @@ def main(argv=None) -> int:
     except CostGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_COST
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, np.linalg.LinAlgError) as exc:

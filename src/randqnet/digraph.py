@@ -14,7 +14,7 @@ Two oracles validate the analytic recursion elsewhere in the package:
   score interval.
 
 Both use a bit-parallel reachability kernel that processes 64 graphs per
-machine word; sampling a single graph is plain Python.
+machine word; ``sample_arc_bits`` draws G(n, p) graphs in bulk.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "McEstimate",
     "arc_pairs",
     "arc_index",
+    "sample_arc_bits",
     "sample_digraph",
     "strongly_connected_counts",
     "exact_pc_bruteforce",
@@ -111,27 +112,27 @@ class DirectedGraph:
         return m
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
+def sample_arc_bits(n: int, p: Prob, count: int, rng) -> np.ndarray:
+    """Arc bits of ``count`` G(n, p) draws: row g says which arc slots graph g holds.
 
-
-def sample_digraph(n: int, p: Prob, rng) -> DirectedGraph:
-    """Sample G(n, p): each ordered arc present independently with probability p.
-
+    Each ordered arc is present independently with probability p, one
+    uniform double per arc slot in bit-layout order, so the rows are the
+    graphs of ``count`` successive one-graph draws from the same stream.
     ``rng`` is a ``numpy.random.Generator`` or a seed for ``default_rng``;
-    a fixed seed reproduces the same graph.
+    a fixed seed reproduces the same graphs.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     pf = float(p)
     if not 0.0 <= pf <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    gen = _as_rng(rng)
-    pairs = arc_pairs(n)
-    draws = gen.random(len(pairs))
-    return DirectedGraph(n, frozenset(pr for pr, d in zip(pairs, draws) if d < pf))
+    return np.random.default_rng(rng).random((count, n * (n - 1))) < pf
+
+
+def sample_digraph(n: int, p: Prob, rng) -> DirectedGraph:
+    """Sample one G(n, p) graph (``sample_arc_bits`` with one row)."""
+    (bits,) = sample_arc_bits(n, p, 1, rng)
+    return DirectedGraph(n, frozenset(pr for pr, b in zip(arc_pairs(n), bits) if b))
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +165,6 @@ def _strong_flags(planes: np.ndarray, n: int) -> np.ndarray:
         for v in range(1, n):
             np.bitwise_and(flags, reach[v], out=flags)
     return flags
-
-
-def _popcount(words: np.ndarray) -> int:
-    return int(np.bitwise_count(words).sum())
 
 
 def _enumeration_planes(n: int) -> np.ndarray:
@@ -238,24 +235,21 @@ def exact_pc_bruteforce(n: int, p: Prob) -> Prob:
 # Monte Carlo estimation
 # ---------------------------------------------------------------------------
 
-_WILSON_Z = {0.99: NormalDist().inv_cdf(0.995)}
+_WILSON_Z = NormalDist().inv_cdf(0.995)  # two-sided 99 %
 
 
-def wilson_interval(hits: int, samples: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(hits: int, samples: int) -> tuple[float, float]:
+    """Wilson score interval at 99 % confidence for a binomial proportion.
 
     Chosen over the Wald interval because it behaves sensibly when the
     estimate sits near 0 or 1, which is the regime of interest here.
     """
     if not 0 <= hits <= samples or samples < 1:
         raise ValueError("need 0 <= hits <= samples, samples >= 1")
-    z = _WILSON_Z.get(confidence)
-    if z is None:
-        z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-    zz = z * z
+    zz = _WILSON_Z * _WILSON_Z
     denom = samples + zz
     center = (hits + zz / 2.0) / denom
-    half = z * ((hits * (samples - hits) / samples + zz / 4.0) ** 0.5) / denom
+    half = _WILSON_Z * ((hits * (samples - hits) / samples + zz / 4.0) ** 0.5) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 
@@ -306,7 +300,7 @@ def _mc_chunk_hits(n: int, threshold: int, size: int, seed: np.random.SeedSequen
     if size & 63:
         # lane j of a word is its bit j; mask the lanes past the last sample
         flags[-1] &= np.uint64((1 << (size & 63)) - 1)
-    return _popcount(flags)
+    return int(np.bitwise_count(flags).sum())
 
 
 def _plane_bytes(n: int, size: int) -> int:
@@ -338,7 +332,6 @@ def estimate_pc_monte_carlo(
     p: Prob,
     samples: int,
     seed: int = 0,
-    confidence: float = 0.99,
     workers: int = 1,
 ) -> McEstimate:
     """Estimate the strong-connectivity probability of G(n, p) by sampling.
@@ -366,7 +359,7 @@ def estimate_pc_monte_carlo(
     if not 0.0 <= pf <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if n == 1:
-        return McEstimate(samples, samples, 1.0, *wilson_interval(samples, samples, confidence), confidence)
+        return McEstimate(samples, samples, 1.0, *wilson_interval(samples, samples))
     threshold = round(pf * _MC_P_GRID)
     chunk = _mc_chunk(n)
     if _plane_bytes(n, chunk) > MEMORY_BUDGET_BYTES:
@@ -385,5 +378,4 @@ def estimate_pc_monte_carlo(
             hits = sum(pool.map(lambda args: _mc_chunk_hits(n, threshold, *args), zip(plan, seeds)))
     else:
         hits = sum(_mc_chunk_hits(n, threshold, sz, sq) for sz, sq in zip(plan, seeds))
-    lo, hi = wilson_interval(hits, samples, confidence)
-    return McEstimate(samples, hits, hits / samples, lo, hi, confidence)
+    return McEstimate(samples, hits, hits / samples, *wilson_interval(hits, samples))

@@ -236,6 +236,24 @@ def test_iso_classes_up_to_relabeling_and_reversal(n, classes):
         seen |= images
 
 
+def test_each_symmetry_moves_the_channel_by_its_word_map():
+    # _iso_classes and _relabel_orbits both read _symmetries, so its arc map
+    # and word map must describe one symmetry: the uniform channel of the
+    # arc-mapped graph, gathered by the word map, is the graph's own channel
+    n = 3
+    blocks = ch._word_blocks(n)
+
+    def dense(mask):
+        return ch._from_blocks(ch._link_sums(n, *ch._uniform_weights(n, [mask]), blocks)[0], blocks)
+
+    symmetries = list(ch._symmetries(n))
+    assert len(symmetries) == 2 * 6
+    for mask, _ in ch._iso_classes(n):
+        for arcs, words in symmetries:
+            image = sum(1 << arcs[a] for a in range(n * (n - 1)) if mask >> a & 1)
+            assert np.array_equal(dense(image)[np.ix_(words, words)], dense(mask))
+
+
 def _link_ptm(n: int, control: int, target: int) -> np.ndarray:
     # dense signed permutation of one CNOT, column by column from cnot_conjugate
     P = np.zeros((4 ** n, 4 ** n))
@@ -577,6 +595,13 @@ def test_static_average_class_reduction_matches_direct(n):
 def test_static_average_exhaustive_cost_guard():
     with pytest.raises(CostGuardError):
         static_average_iterate(5, 0.5, 1, mode="exhaustive")
+
+
+def test_static_paths_check_p():
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+        static_convergence_traces(3, [1.5], 2)
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+        static_average_iterate(3, -0.2, 1)
 
 
 def test_static_average_sampled_deterministic():

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -55,6 +56,16 @@ def test_pc_table_exact_cost_guard(capsys):
     code, _, err = run_cli(capsys, "pc", "table", "--exact", "--nmax", "40")
     assert code == EXIT_COST
     assert "refused" in err
+
+
+def test_pc_table_refuses_beyond_the_float_limit_at_once(capsys):
+    # float binomials overflow past n = 1030; the refusal comes before any P_C
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "pc", "table", "--p", "1/2", "--nmax", "1031")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_COST
+    assert out == ""
+    assert "refused" in err and "1030" in err
 
 
 def test_rational_probability_on_float_path_is_noted(capsys):
@@ -228,6 +239,10 @@ def test_evolve_static_guard_names_the_graphs_that_fit(capsys, n, fits):
     assert code == EXIT_COST
     assert f"at most {fits} distinct graphs fit" in err
     assert "--budget" in err
+    # the graphs it counts depend only on the G(n, p) draw at the default p
+    # list, budget and seed; the counts were recorded from per-graph draws
+    distinct = {5: 6592, 6: 9718}[n]
+    assert f"static ensemble of {distinct} distinct graphs at n={n}" in err
 
 
 def test_evolve_static_sampled_mode(capsys):
@@ -285,6 +300,15 @@ def test_asymptote_bad_file_length(tmp_path, capsys):
 def test_asymptote_cost_guard(capsys):
     code, _, _ = run_cli(capsys, "asymptote", "--n", "11")
     assert code == EXIT_COST
+
+
+def test_file_errors_exit_two(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    for argv in (["pc", "table", "--out", str(missing / "x.csv")],
+                 ["asymptote", "--n", "2", "--state", str(missing / "state.json")]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and str(missing) in err
 
 
 def test_asymptote_above_dense_map_sizes(capsys):

@@ -17,7 +17,7 @@ from randqnet import (
     wilson_interval,
 )
 import randqnet.digraph as digraph_module
-from randqnet.digraph import arc_index, arc_pairs
+from randqnet.digraph import arc_index, arc_pairs, sample_arc_bits
 from conftest import is_strongly_connected, naive_strongly_connected, strongly_connected_components
 
 
@@ -69,6 +69,22 @@ def test_sample_deterministic_per_seed():
 def test_sample_rejects_bad_p():
     with pytest.raises(ValueError):
         sample_digraph(3, 1.5, rng=0)
+
+
+@pytest.mark.parametrize("n, masks", [
+    (2, [2, 0, 2, 3, 2, 0, 1, 1]),
+    (5, [21218, 535477, 287491, 560912, 307024, 533837, 816280, 4431]),
+])
+def test_sample_arc_bits_rows_are_successive_graph_draws(n, masks):
+    # the masks of eight successive sample_digraph calls on one stream,
+    # recorded before the bulk draw existed: its rows must give the same
+    # graphs for a Generator and for an int seed
+    rng = np.random.default_rng(2024)
+    assert [sample_digraph(n, 0.3, rng).mask for _ in range(8)] == masks
+    for source in (np.random.default_rng(2024), 2024):
+        rows = sample_arc_bits(n, 0.3, 8, source)
+        assert rows.shape == (8, n * (n - 1))
+        assert [int(row @ (1 << np.arange(n * (n - 1)))) for row in rows] == masks
 
 
 # --- SCC decomposition ------------------------------------------------------------
