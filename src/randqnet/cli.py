@@ -5,7 +5,9 @@ a fixed flag set and seed. Probabilities may be given as exact rationals
 ("1/2") or decimals ("0.5"). ``pc table`` and ``pc curve`` compute a
 rational p in big-rational arithmetic up to ``connectivity.EXACT_PC_MAX_N``
 vertices; a decimal p, or a rational one beyond that size, uses the float
-path there and prints a note to stderr.
+path there and prints a note to stderr. Float P_C values outside [0, 1]
+get one warning line per p on stderr, and a nan or infinite one makes
+``pc table`` refuse with exit code 4.
 
 Exit codes: 0 success, 2 usage, validation or file error, 3 cost-guard
 refusal, 4 internal numerical failure.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from decimal import Decimal, ROUND_HALF_UP
 from fractions import Fraction
@@ -105,6 +108,18 @@ def _prob_str(p) -> str:
     return str(p) if isinstance(p, Fraction) else repr(float(p))
 
 
+def _flag_out_of_range(p, rows) -> None:
+    """Warn on stderr, in one line, of the P_C values in ``rows`` that lie outside [0, 1].
+
+    Only the float path yields them: its subtractions cancel at small p.
+    """
+    out = [n for n, val in rows if not 0 <= val <= 1]
+    if out:
+        print(f"warning: {len(out)} float P_C values at p = {_prob_str(p)} lie outside [0, 1], "
+              f"n = {out[0]}..{out[-1]}; the float path cancels there, so these rows are wrong",
+              file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -125,6 +140,11 @@ def _cmd_pc_table(args) -> int:
         print(f"note: rational probability {args.p} uses the float path for nmax > {limit}",
               file=sys.stderr)
     curve = connectivity.pc_curve(args.nmax, p)  # picks the exact or the float path
+    for n, val in curve.rows:
+        if not math.isfinite(val):
+            raise FloatingPointError(f"P_C({n}) at p = {_prob_str(p)} is {val}: the float path "
+                                     "lost all precision there, so no row can be printed")
+    _flag_out_of_range(p, curve.rows[1:])
     rows = [(n, _fmt_fixed(val, args.precision)) for n, val in curve.rows[1:]]
     _write_rows(rows, ["n", "p_c"], args.format, args.out)
     return EXIT_OK
@@ -143,6 +163,7 @@ def _cmd_pc_curve(args) -> int:
     all_rows = []
     for p in p_list:
         curve = connectivity.pc_curve(args.nmax, p)
+        _flag_out_of_range(p, curve.rows)
         rows = []
         for n, val in curve.rows:
             bound = connectivity.lower_bound_pc(n, p) if n >= 2 else ""
@@ -268,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("pc", help="strong-connectivity probabilities")
     pcsub = pc.add_subparsers(dest="subcommand", required=True)
 
-    t = pcsub.add_parser("table", help="exact P_C(n, p) for n = 2..nmax")
+    t = pcsub.add_parser("table", help="P_C(n, p) for n = 2..nmax: exact for a rational p "
+                         f"up to nmax = {connectivity.EXACT_PC_MAX_N}, binary64 floats otherwise")
     t.add_argument("--nmax", type=int, default=7)
     t.add_argument("--p", default="1/2")
     t.add_argument("--exact", action="store_true", help="insist on the exact rational path")

@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 Prob = Union[Fraction, float]
 
 __all__ = [
@@ -49,11 +51,6 @@ __all__ = [
 # Largest n for which a rational p stays on the exact path (pc_curve, pc table).
 EXACT_PC_MAX_N = 30
 FLOAT_PC_MAX_N = 1030  # float binomial rows C(n - 1, j) stay finite up to here
-
-
-def _check_open_unit(p: Prob) -> None:
-    if not 0 < p < 1:
-        raise ValueError(f"edge probability must satisfy 0 < p < 1, got {p!r}")
 
 
 class ConnectivitySession:
@@ -79,51 +76,49 @@ class ConnectivitySession:
     The disconnection probabilities are sums of non-negative parts: that
     sum for the undirected graph, and that sum plus sum_t(...) for the
     directed one, so they stay accurate in floats where 1 - P_C(n) rounds
-    to zero. The recurrences share one table of powers of
-    q and one binomial row per size; R(n) costs O(n^2) operations and
-    P_C(n) O(n^3).
+    to zero.
+
+    The tables are numpy arrays of dtype float64 for a float ``p`` and
+    object otherwise, grown in one batch to the n asked for. Column w of U
+    needs only the columns before it, so it takes one numpy pass over every
+    block size t, and each P_C(m) one pass over t: O(n) numpy calls for the
+    O(n^3) arithmetic. Products run left to right and sums through
+    ``cumsum``, which adds in sequence, so each float keeps the bits of the
+    scalar recurrence. An undirected query fills only the t = 1 row: O(n^2).
     """
 
     def __init__(self, p: Prob):
-        _check_open_unit(p)
+        if not 0 < p < 1:
+            raise ValueError(f"edge probability must satisfy 0 < p < 1, got {p!r}")
         self.p = p
         self.exact = isinstance(p, Fraction)
         self._one = one = type(p)(1)
         self._q = 1 - p  # probability that a given arc is absent
-        self._qpow: list[Prob] = []
-        self._binom: dict[int, list[Prob]] = {}
-        # entry n belongs to n vertices; index 0 is a placeholder
-        self._strong: list[Prob] = [one, one]
-        self._disc: list[Prob] = [one, one - one]
-        self._spread: dict[int, list[Prob]] = {}  # t -> U(t, w) for w = 0, 1, ...
+        self._dtype = np.float64 if isinstance(p, float) else object
+        self._qpow = np.empty(0, self._dtype)  # q^e, each computed in Python as q ** e
+        self._binom: list[np.ndarray] = []  # row m holds C(m, j) for j = 0..m
+        # U[t, w], known for t + w <= self._tri and, on the t = 1 row, for every column
+        self._spread, self._tri = np.full((2, 1), one, self._dtype), 1
         self._reach_sums: list[Prob] = [one - one]  # 1 - U(1, w), summed directly
+        # entry n belongs to n vertices; index 0 is a placeholder
+        self._strong = np.full(2, one, self._dtype)
+        self._disc: list[Prob] = [one, one - one]
 
-    def _powers(self, e_max: int) -> list[Prob]:
-        """The shared table of q^e, each entry computed as ``q ** e``, grown to e_max."""
-        pw = self._qpow
-        while len(pw) <= e_max:
-            pw.append(self._q ** len(pw))
-        return pw
-
-    def _binom_row(self, n: int) -> list[Prob]:
-        """C(n, j) for j = 0..n in the number type of ``p``; OverflowError past binary64."""
-        row = self._binom.get(n)
-        if row is None:
-            one = c = self._one
-            row = [c]
-            for j in range(n):
-                c *= one * (n - j) / (j + 1)
-                row.append(c)
-            if c == math.inf:  # an overflowed entry stays inf to the row's end
-                raise OverflowError(f"float binomials C({n}, j) overflow; the float path "
-                                    f"supports at most n = {FLOAT_PC_MAX_N} vertices")
-            self._binom[n] = row
-        return row
+    def _binom_rows(self, n: int) -> list[np.ndarray]:
+        """The rows C(m, j) for m < n in the number type of ``p``; OverflowError past binary64."""
+        rows, one = self._binom, self._one
+        k = one * np.arange(n).astype(self._dtype)  # 0, 1, ..., n - 1 as numbers of that type
+        for m in range(len(rows), n):  # c *= (m - j) / (j + 1), ratio by ratio
+            rows.append(np.cumprod(np.concatenate(([one], k[m:0:-1] / k[1:m + 1]))))
+        if rows[n - 1][-1] == math.inf:  # an overflowed entry stays inf to the row's end
+            raise OverflowError(f"float binomials C({n - 1}, j) overflow; the float path "
+                                f"supports at most n = {FLOAT_PC_MAX_N} vertices")
+        return rows
 
     def prob_strongly_connected(self, n: int) -> Prob:
         """Probability that G(n, p) is strongly connected."""
         self._fill(n)
-        return self._strong[n]
+        return self._strong.item(n)
 
     def prob_disconnected(self, n: int) -> Prob:
         """Probability that G(n, p) is not strongly connected (0 for n = 1)."""
@@ -132,48 +127,58 @@ class ConnectivitySession:
 
     def prob_connected_undirected(self, n: int) -> Prob:
         """Probability that an undirected G(n, p) graph is connected."""
-        return self._reach_row(n)[0][n - 1]
+        self._grow(n, directed=False)
+        return self._spread.item(1, n - 1)
 
     def prob_disconnected_undirected(self, n: int) -> Prob:
         """Probability that an undirected G(n, p) graph is disconnected (0 for n = 1)."""
-        return self._reach_row(n)[1][n - 1]
+        self._grow(n, directed=False)
+        return self._reach_sums[n - 1]
 
-    def _reach_row(self, n: int) -> tuple[list[Prob], list[Prob]]:
-        """The t = 1 row of U and its sums grown to w = n - 1, so R(m) = U(1, m - 1) for m <= n."""
+    @np.errstate(over="ignore", invalid="ignore")  # float cancellation may reach inf and nan
+    def _grow(self, n: int, directed: bool) -> None:
+        """Grow U to the columns w < n: every block size t <= n - w if ``directed``, else t = 1."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        self._powers(n * n // 4)  # (t+y)(w-y) with t + w <= n stays below
-        self._spread_upto(1, n - 1)
-        return self._spread[1], self._reach_sums
+        tri, reach = self._tri, self._spread.shape[1]
+        size, width = max(tri, n) if directed else tri, max(reach, n)
+        if (size, width) == (tri, reach):
+            return
+        binom = self._binom_rows(width)  # raises before any table grows
+        old, one, e = self._spread, self._one, len(self._qpow)
+        # (t+y)(w-y) with t + w <= n stays below n^2 / 4
+        new = [self._q ** k for k in range(e, width * width // 4 + 1)]
+        self._qpow = qpow = np.concatenate((self._qpow, np.array(new, self._dtype)))
+        U = np.full((max(size, 2), width), one, self._dtype)
+        U[:old.shape[0], :reach] = old
+        for w in range(1, width):
+            lo, hi = max(tri - w, int(w < reach)) + 1, max(size - w, 1)  # rows t still missing
+            if lo <= hi:
+                t, y = np.arange(lo, hi + 1)[:, None], np.arange(w)
+                terms = (binom[w][:w] * U[lo:hi + 1, :w]) * qpow[(t + y) * (w - y)]
+                s = terms.cumsum(axis=1)[:, -1]
+                U[lo:hi + 1, w] = one - s
+                if lo == 1:  # only R needs its sum
+                    self._reach_sums.append(s.item(0))
+        self._spread, self._tri = U, size
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _fill(self, n: int) -> None:
         """Extend P_C and the disconnection table to n vertices, ascending."""
-        reach, miss = self._reach_row(n)  # also sizes the power table
-        one, qpow = self._one, self._qpow
-        strong, disc = self._strong, self._disc
-        for m in range(len(strong), n + 1):
-            row = self._binom_row(m - 1)
-            s = 0
-            for t in range(1, m):
-                s += row[t - 1] * strong[t] * qpow[t * (m - t)] * self._spread_upto(t, m - t)
+        self._grow(n, directed=True)
+        done = len(self._strong) - 1
+        if n <= done:
+            return
+        one, U, qpow, miss = self._one, self._spread, self._qpow, self._reach_sums
+        self._strong = strong = np.concatenate((self._strong, np.empty(n - done, self._dtype)))
+        for m in range(done + 1, n + 1):
+            t = np.arange(1, m)
+            terms = ((self._binom[m - 1][:m - 1] * strong[1:m]) * qpow[t * (m - t)]) * U[t, m - t]
+            s = terms.cumsum().item(-1)
             # the double complement rounds a float P_C(m) to the grid of 1,
             # so 1 - (1 - P_C) == P_C; on exact types it is the identity
-            strong.append(one - (one - (reach[m - 1] - s)))
-            disc.append(miss[m - 1] + s)
-
-    def _spread_upto(self, t: int, w: int) -> Prob:
-        """U(t, w), growing the row for t; ``_reach_row`` has sized the power table."""
-        vals = self._spread.setdefault(t, [self._one])
-        qpow = self._qpow
-        for m in range(len(vals), w + 1):
-            row = self._binom_row(m)
-            s = 0
-            for y in range(m):
-                s += row[y] * vals[y] * qpow[(t + y) * (m - y)]
-            vals.append(self._one - s)
-            if t == 1:  # only R needs its sum: keeping every row's costs ~10 % at n = 240
-                self._reach_sums.append(s)
-        return vals[w]
+            strong[m] = one - (one - (U.item(1, m - 1) - s))
+            self._disc.append(miss[m - 1] + s)
 
 
 # -- module-level conveniences (fresh session per call) --
@@ -184,10 +189,7 @@ def prob_disconnected(n: int, p: Prob) -> Prob:
 
 
 def prob_strongly_connected(n: int, p: Prob) -> Prob:
-    """Probability that G(n, p) is strongly connected.
-
-    Exact rational when ``p`` is a ``Fraction``; float otherwise.
-    """
+    """Probability that G(n, p) is strongly connected."""
     return ConnectivitySession(p).prob_strongly_connected(n)
 
 
@@ -205,13 +207,8 @@ def prob_disconnected_undirected(n: int, p: Prob) -> Prob:
 def prob_connected_undirected(n: int, p: Prob) -> Prob:
     """Probability that an undirected G(n, p) graph is connected.
 
-    Uses the classical recurrence obtained by conditioning on the size of
-    the component containing a fixed vertex:
-
-        P(n) = 1 - sum_{k=1}^{n-1} C(n-1, k-1) P(k) (1-p)^(k(n-k))
-
-    with P(1) = 1, which is the session's R(n) = U(1, n - 1). Exact when
-    ``p`` is a ``Fraction``.
+    By conditioning on the component of a fixed vertex, P(n) = 1 -
+    sum_{k<n} C(n-1, k-1) P(k) (1-p)^(k(n-k)), the session's R(n).
     """
     return ConnectivitySession(p).prob_connected_undirected(n)
 
@@ -257,6 +254,7 @@ def pc_curve(n_max: int, p: Prob, exact: bool | None = None) -> PcCurve:
     if exact and not isinstance(p, Fraction):
         raise ValueError("exact mode requires p as a Fraction")
     session = ConnectivitySession(pv)
+    session.prob_strongly_connected(n_max)  # grows the tables once, in one batch
     rows = [(n, session.prob_strongly_connected(n)) for n in range(1, n_max + 1)]
     best = min(range(len(rows)), key=lambda i: (rows[i][1], rows[i][0]))
     return PcCurve(p=pv, rows=tuple(rows), argmin_n=rows[best][0])

@@ -373,6 +373,80 @@ def undirected_connected_oracle(n: int, p: Fraction) -> Fraction:
     return total
 
 
+class ScalarReachSession:
+    """The scalar reach factorization, one Python loop per table entry.
+
+    The package's ``ConnectivitySession`` evaluates the same recurrences a
+    numpy column at a time; this loop is the reference for its bits. Each
+    product runs left to right and each sum adds from 0 in order of its
+    index, in the number type of ``p``.
+    """
+
+    def __init__(self, p):
+        self._one = one = type(p)(1)
+        self._q = 1 - p
+        self._qpow = []
+        self._binom = {}
+        self._strong = [one, one]
+        self._disc = [one, one - one]
+        self._spread = {}  # t -> U(t, w) for w = 0, 1, ...
+        self._reach_sums = [one - one]  # 1 - U(1, w), summed directly
+
+    def _binom_row(self, n):
+        row = self._binom.get(n)
+        if row is None:
+            one = c = self._one
+            row = [c]
+            for j in range(n):
+                c *= one * (n - j) / (j + 1)
+                row.append(c)
+            self._binom[n] = row
+        return row
+
+    def _spread_upto(self, t, w):
+        """U(t, w), growing the row for t."""
+        vals = self._spread.setdefault(t, [self._one])
+        pw = self._qpow
+        while len(pw) <= (t + w) ** 2 // 4:
+            pw.append(self._q ** len(pw))
+        for m in range(len(vals), w + 1):
+            row = self._binom_row(m)
+            s = 0
+            for y in range(m):
+                s += row[y] * vals[y] * pw[(t + y) * (m - y)]
+            vals.append(self._one - s)
+            if t == 1:
+                self._reach_sums.append(s)
+        return vals[w]
+
+    def _fill(self, n):
+        one, strong, disc = self._one, self._strong, self._disc
+        self._spread_upto(1, n - 1)
+        reach = self._spread[1]
+        for m in range(len(strong), n + 1):
+            row = self._binom_row(m - 1)
+            s = 0
+            for t in range(1, m):
+                s += row[t - 1] * strong[t] * self._qpow[t * (m - t)] * self._spread_upto(t, m - t)
+            strong.append(one - (one - (reach[m - 1] - s)))
+            disc.append(self._reach_sums[m - 1] + s)
+
+    def prob_strongly_connected(self, n):
+        self._fill(n)
+        return self._strong[n]
+
+    def prob_disconnected(self, n):
+        self._fill(n)
+        return self._disc[n]
+
+    def prob_connected_undirected(self, n):
+        return self._spread_upto(1, n - 1)
+
+    def prob_disconnected_undirected(self, n):
+        self._spread_upto(1, n - 1)
+        return self._reach_sums[n - 1]
+
+
 def set_partitions(items):
     """All partitions of a list into unordered non-empty blocks."""
     if not items:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from randqnet import asymptotic_state, index_to_word, state_mixed, state_plus, state_zero
-from randqnet.cli import EXIT_COST, EXIT_OK, EXIT_USAGE, main
+from randqnet.cli import EXIT_COST, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from conftest import dense_cnot, ptm_of_unitary
 
 
@@ -66,6 +66,32 @@ def test_pc_table_refuses_beyond_the_float_limit_at_once(capsys):
     assert code == EXIT_COST
     assert out == ""
     assert "refused" in err and "1030" in err
+
+
+def test_pc_table_refuses_a_float_path_that_lost_all_precision(capsys):
+    # at p = 0.0069 the float P_C cancels to nan from n = 649 on
+    code, out, err = run_cli(capsys, "pc", "table", "--p", "0.0069", "--nmax", "660")
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "numerical failure: P_C(649) at p = 0.0069 is nan: the float path lost all "
+        "precision there, so no row can be printed")
+
+
+def test_float_values_outside_the_unit_interval_are_flagged(capsys):
+    # stdout stays as it was; one stderr line counts the wrong rows per p
+    code, out, err = run_cli(capsys, "pc", "table", "--p", "0.0069", "--nmax", "70")
+    assert code == EXIT_OK
+    assert {r["n"]: r["p_c"] for r in parse_csv(out)}["62"] == "-1.8575"
+    assert err.splitlines()[1:] == [
+        "warning: 35 float P_C values at p = 0.0069 lie outside [0, 1], n = 11..70; "
+        "the float path cancels there, so these rows are wrong"]
+    code, out, err = run_cli(capsys, "pc", "curve", "--p-list", "0.01,0.5", "--nmax", "400")
+    assert code == EXIT_OK
+    assert len(parse_csv(out)) == 800
+    assert [line for line in err.splitlines() if line.startswith("warning:")] == [
+        "warning: 361 float P_C values at p = 0.01 lie outside [0, 1], n = 11..400; "
+        "the float path cancels there, so these rows are wrong"]
 
 
 def test_rational_probability_on_float_path_is_noted(capsys):

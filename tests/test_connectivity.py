@@ -20,6 +20,7 @@ from randqnet import (
 from randqnet.connectivity import FLOAT_PC_MAX_N
 from conftest import (
     AcyclicInterconnect,
+    ScalarReachSession,
     acyclic_interconnect_oracle,
     partition_sum_pc,
     prob_acyclic_interconnect,
@@ -191,6 +192,65 @@ def test_undirected_float_bits_are_pinned():
         session = ConnectivitySession(p)
         assert {n: session.prob_connected_undirected(n).hex() for n in connected} == connected
         assert {n: session.prob_disconnected_undirected(n).hex() for n in disconnected} == disconnected
+
+
+QUANTITIES = ("prob_strongly_connected", "prob_disconnected",
+              "prob_connected_undirected", "prob_disconnected_undirected")
+
+
+@pytest.mark.parametrize("p", [0.01, 0.0069, 0.05, 0.2, 1 / 3, 0.5, 0.7])
+def test_float_columns_keep_the_bits_of_the_scalar_loop(p):
+    # each product is formed left to right and each sum added in sequence,
+    # so a column at a time gives every float of the scalar loop, including
+    # the wrong ones at small p (nan from n = 649 at p = 0.0069 lies beyond)
+    session, ref = ConnectivitySession(p), ScalarReachSession(p)
+    session.prob_strongly_connected(240)  # one batch; the loop grows entry by entry
+    for name in QUANTITIES:
+        got = [getattr(session, name)(n).hex() for n in range(1, 241)]
+        assert got == [getattr(ref, name)(n).hex() for n in range(1, 241)], name
+
+
+@pytest.mark.parametrize("p", [HALF, Fraction(1, 3), Fraction(2, 3)])
+def test_exact_columns_equal_the_scalar_loop(p):
+    session, ref = ConnectivitySession(p), ScalarReachSession(p)
+    for name in QUANTITIES:
+        got = [getattr(session, name)(n) for n in range(1, 21)]
+        assert got == [getattr(ref, name)(n) for n in range(1, 21)], name
+
+
+@pytest.mark.parametrize("p", [0.01, Fraction(2, 5)])
+def test_growth_order_keeps_the_bits(p):
+    # undirected queries grow the t = 1 row past the directed triangle, and
+    # later directed ones fill in the rows each column still misses
+    session, ref = ConnectivitySession(p), ScalarReachSession(p)
+    for name, n in [("prob_disconnected_undirected", 25), ("prob_strongly_connected", 12),
+                    ("prob_disconnected", 30), ("prob_connected_undirected", 40),
+                    ("prob_strongly_connected", 35), ("prob_disconnected_undirected", 5)]:
+        assert repr(getattr(session, name)(n)) == repr(getattr(ref, name)(n)), (name, n)
+
+
+def test_undirected_queries_fill_only_the_reach_row():
+    # R(n) is the t = 1 row alone: O(n^2) work, so n = 1030 stays cheap
+    session = ConnectivitySession(0.5)
+    session.prob_disconnected_undirected(1030)
+    assert session._tri == 1 and session._spread.shape == (2, 1030)
+    session.prob_strongly_connected(40)  # the triangle t + w <= 40 joins the long row
+    assert session._tri == 40 and session._spread.shape == (40, 1030)
+
+
+def test_pc_curve_grows_its_session_once(monkeypatch):
+    grown = []
+    grow = ConnectivitySession._grow
+
+    def counted(self, n, directed):
+        before = self._tri, self._spread.shape
+        grow(self, n, directed)
+        if (self._tri, self._spread.shape) != before:
+            grown.append((self._tri, self._spread.shape[1]))
+
+    monkeypatch.setattr(ConnectivitySession, "_grow", counted)
+    assert len(pc_curve(160, 0.2).rows) == 160
+    assert grown == [(160, 160)]
 
 
 def test_sessions_are_independent_across_threads():
