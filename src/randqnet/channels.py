@@ -55,8 +55,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .connectivity import Prob
-from .digraph import (MEMORY_BUDGET_BYTES, CostGuardError, DirectedGraph, arc_index, arc_pairs,
+from .digraph import (MEMORY_BUDGET_BYTES, CostGuardError, DirectedGraph, Prob, arc_index, arc_pairs,
                       sample_arc_bits)
 
 __all__ = [

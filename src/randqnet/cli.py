@@ -2,12 +2,13 @@
 
 Commands emit CSV (default) or JSON tables with deterministic content for
 a fixed flag set and seed. Probabilities may be given as exact rationals
-("1/2") or decimals ("0.5"). ``pc table`` and ``pc curve`` compute a
+("1/2") or decimals ("0.5"). ``pc table`` and ``pc curve`` take every
+P_C row from ``_checked_pc_curve``: ``connectivity.pc_curve`` computes a
 rational p in big-rational arithmetic up to ``connectivity.EXACT_PC_MAX_N``
-vertices; a decimal p, or a rational one beyond that size, uses the float
-path there and prints a note to stderr. Float P_C values outside [0, 1]
-get one warning line per p on stderr, and a nan or infinite one makes
-``pc table`` refuse with exit code 4.
+vertices and any other p in floats, and a float curve gets one note per p
+on stderr, one warning line if values lie outside [0, 1], and exit code 4
+if a value is nan or infinite. Beyond ``connectivity.FLOAT_PC_MAX_N``
+vertices the float path refuses with exit code 3.
 
 Exit codes: 0 success, 2 usage, validation or file error, 3 cost-guard
 refusal, 4 internal numerical failure.
@@ -20,7 +21,7 @@ import contextlib
 import json
 import math
 import sys
-from decimal import Decimal, ROUND_HALF_UP
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -40,12 +41,8 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_prob(text: str, *, closed: bool = False, note: bool = False) -> connectivity.Prob:
-    """Parse "a/b" to an exact Fraction, decimals to float.
-
-    ``note`` is set by the commands that have an exact path: they tell on
-    stderr when a decimal p takes the float path.
-    """
+def _parse_prob(text: str, *, closed: bool = False) -> connectivity.Prob:
+    """Parse "a/b" to an exact Fraction, decimals to float."""
     text = text.strip()
     try:
         if "/" in text:
@@ -59,13 +56,11 @@ def _parse_prob(text: str, *, closed: bool = False, note: bool = False) -> conne
             raise UsageError(f"probability {text!r} must lie in [0, 1]")
     elif not 0 < value < 1:
         raise UsageError(f"probability {text!r} must lie strictly in (0, 1)")
-    if note and isinstance(value, float):
-        print(f"note: decimal probability {text} uses the float path", file=sys.stderr)
     return value
 
 
-def _parse_prob_list(text: str, *, note: bool = False) -> list[connectivity.Prob]:
-    return [_parse_prob(tok, note=note) for tok in text.split(",") if tok.strip()]
+def _parse_prob_list(text: str) -> list[connectivity.Prob]:
+    return [_parse_prob(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _fmt(value, precision: int) -> str:
@@ -77,12 +72,12 @@ def _fmt(value, precision: int) -> str:
 
 
 def _fmt_fixed(value, decimals: int) -> str:
-    """Round half away from zero to a fixed number of decimals."""
-    if isinstance(value, Fraction):
-        dec = Decimal(value.numerator) / Decimal(value.denominator)
-    else:
-        dec = Decimal(repr(float(value)))
-    return str(dec.quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP))
+    """Round half away from zero to ``decimals`` places in exact integers; a float as its ``repr``."""
+    exact = value if isinstance(value, Fraction) else Decimal(repr(float(value)))
+    num, den = exact.as_integer_ratio()
+    whole, frac = divmod((2 * abs(num) * 10 ** decimals + den) // (2 * den), 10 ** decimals)
+    sign = "-" if num < 0 else ""
+    return f"{sign}{whole}.{frac:0{decimals}d}" if decimals else f"{sign}{whole}"
 
 
 def _write_rows(rows, fieldnames: list[str], fmt: str, out_path: str | None) -> None:
@@ -108,16 +103,27 @@ def _prob_str(p) -> str:
     return str(p) if isinstance(p, Fraction) else repr(float(p))
 
 
-def _flag_out_of_range(p, rows) -> None:
-    """Warn on stderr, in one line, of the P_C values in ``rows`` that lie outside [0, 1].
+def _checked_pc_curve(n_max: int, p) -> connectivity.PcCurve:
+    """P_C(n, p) for n = 1..n_max, the only source of the rows ``pc table`` and ``pc curve`` print.
 
-    Only the float path yields them: its subtractions cancel at small p.
+    A float ``curve.p`` means the float path ran: it gets a note on stderr,
+    a nan or infinite value raises FloatingPointError before any row is
+    printed, and values outside [0, 1], where it cancels, one warning line.
     """
-    out = [n for n, val in rows if not 0 <= val <= 1]
-    if out:
-        print(f"warning: {len(out)} float P_C values at p = {_prob_str(p)} lie outside [0, 1], "
-              f"n = {out[0]}..{out[-1]}; the float path cancels there, so these rows are wrong",
-              file=sys.stderr)
+    curve = connectivity.pc_curve(n_max, p)  # looked up on the module, where tracers wrap it
+    if isinstance(curve.p, float):
+        print(f"note: P_C at p = {_prob_str(p)} uses the float path (exact only for a rational p "
+              f"up to nmax = {connectivity.EXACT_PC_MAX_N})", file=sys.stderr)
+        for n, val in curve.rows:
+            if not math.isfinite(val):
+                raise FloatingPointError(f"P_C({n}) at p = {_prob_str(p)} is {val}: the float path "
+                                         "lost all precision there, so no row can be printed")
+        out = [n for n, val in curve.rows if not 0 <= val <= 1]
+        if out:
+            print(f"warning: {len(out)} float P_C values at p = {_prob_str(p)} lie outside [0, 1], "
+                  f"n = {out[0]}..{out[-1]}; the float path cancels there, so these rows are wrong",
+                  file=sys.stderr)
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -125,45 +131,25 @@ def _flag_out_of_range(p, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_pc_table(args) -> int:
-    p = _parse_prob(args.p, note=True)
+    p = _parse_prob(args.p)
     if args.nmax < 2:
         raise UsageError("--nmax must be >= 2")
-    if args.nmax > connectivity.FLOAT_PC_MAX_N:
-        raise CostGuardError(f"table refused for nmax > {connectivity.FLOAT_PC_MAX_N}, "
-                             "where the float binomials overflow")
-    limit = connectivity.EXACT_PC_MAX_N
-    if args.exact and not isinstance(p, Fraction):
-        raise UsageError("--exact requires a rational probability such as 1/2")
-    if args.exact and args.nmax > limit:
-        raise CostGuardError(f"exact table refused for nmax > {limit}")
-    if isinstance(p, Fraction) and args.nmax > limit:
-        print(f"note: rational probability {args.p} uses the float path for nmax > {limit}",
-              file=sys.stderr)
-    curve = connectivity.pc_curve(args.nmax, p)  # picks the exact or the float path
-    for n, val in curve.rows:
-        if not math.isfinite(val):
-            raise FloatingPointError(f"P_C({n}) at p = {_prob_str(p)} is {val}: the float path "
-                                     "lost all precision there, so no row can be printed")
-    _flag_out_of_range(p, curve.rows[1:])
+    curve = _checked_pc_curve(args.nmax, p)
     rows = [(n, _fmt_fixed(val, args.precision)) for n, val in curve.rows[1:]]
     _write_rows(rows, ["n", "p_c"], args.format, args.out)
     return EXIT_OK
 
 
 def _cmd_pc_curve(args) -> int:
-    p_list = _parse_prob_list(args.p_list, note=True)
+    p_list = _parse_prob_list(args.p_list)
     if args.nmax < 1:
         raise UsageError("--nmax must be >= 1")
     if args.nmax > 400:
         raise CostGuardError("curve refused for nmax > 400")
-    if args.nmax > connectivity.EXACT_PC_MAX_N and any(isinstance(p, Fraction) for p in p_list):
-        print(f"note: rational probabilities use the float path for nmax > {connectivity.EXACT_PC_MAX_N}",
-              file=sys.stderr)
     per_p = args.out and "{p}" in args.out
     all_rows = []
     for p in p_list:
-        curve = connectivity.pc_curve(args.nmax, p)
-        _flag_out_of_range(p, curve.rows)
+        curve = _checked_pc_curve(args.nmax, p)
         rows = []
         for n, val in curve.rows:
             bound = connectivity.lower_bound_pc(n, p) if n >= 2 else ""
@@ -214,7 +200,8 @@ def _cmd_evolve(args) -> int:
     if args.n < 2:
         raise UsageError("--n must be >= 2")
     if args.n > 6:
-        raise CostGuardError("channel iteration refused for n > 6 (4^n transfer matrices)")
+        raise CostGuardError("channel iteration refused for n > 6 (at n = 7 the two largest "
+                             "Pauli word blocks hold 8001 and 8128 words)")
     if args.rmax < 0:
         raise UsageError("--rmax must be >= 0")
     rows = []
@@ -293,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
                          f"up to nmax = {connectivity.EXACT_PC_MAX_N}, binary64 floats otherwise")
     t.add_argument("--nmax", type=int, default=7)
     t.add_argument("--p", default="1/2")
-    t.add_argument("--exact", action="store_true", help="insist on the exact rational path")
     _add_io_flags(t, precision=4)
     t.set_defaults(func=_cmd_pc_table)
 
@@ -345,6 +331,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.precision < 0:
+            raise UsageError("--precision must be >= 0")
         return args.func(args)
     except CostGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)

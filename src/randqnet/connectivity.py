@@ -30,11 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
-Prob = Union[Fraction, float]
+from .digraph import CostGuardError, Prob
 
 __all__ = [
     "Prob",
@@ -104,17 +103,6 @@ class ConnectivitySession:
         self._strong = np.full(2, one, self._dtype)
         self._disc: list[Prob] = [one, one - one]
 
-    def _binom_rows(self, n: int) -> list[np.ndarray]:
-        """The rows C(m, j) for m < n in the number type of ``p``; OverflowError past binary64."""
-        rows, one = self._binom, self._one
-        k = one * np.arange(n).astype(self._dtype)  # 0, 1, ..., n - 1 as numbers of that type
-        for m in range(len(rows), n):  # c *= (m - j) / (j + 1), ratio by ratio
-            rows.append(np.cumprod(np.concatenate(([one], k[m:0:-1] / k[1:m + 1]))))
-        if rows[n - 1][-1] == math.inf:  # an overflowed entry stays inf to the row's end
-            raise OverflowError(f"float binomials C({n - 1}, j) overflow; the float path "
-                                f"supports at most n = {FLOAT_PC_MAX_N} vertices")
-        return rows
-
     def prob_strongly_connected(self, n: int) -> Prob:
         """Probability that G(n, p) is strongly connected."""
         self._fill(n)
@@ -140,12 +128,18 @@ class ConnectivitySession:
         """Grow U to the columns w < n: every block size t <= n - w if ``directed``, else t = 1."""
         if n < 1:
             raise ValueError("n must be >= 1")
+        if n > FLOAT_PC_MAX_N and self._dtype is np.float64:
+            raise CostGuardError(f"float binomials C({n - 1}, j) overflow; the float path "
+                                 f"supports at most n = {FLOAT_PC_MAX_N} vertices")
         tri, reach = self._tri, self._spread.shape[1]
         size, width = max(tri, n) if directed else tri, max(reach, n)
         if (size, width) == (tri, reach):
             return
-        binom = self._binom_rows(width)  # raises before any table grows
-        old, one, e = self._spread, self._one, len(self._qpow)
+        binom, one = self._binom, self._one
+        ints = one * np.arange(width).astype(self._dtype)  # 0, 1, ..., width - 1 in the type of p
+        for m in range(len(binom), width):  # C(m, j): c *= (m - j) / (j + 1), ratio by ratio
+            binom.append(np.cumprod(np.concatenate(([one], ints[m:0:-1] / ints[1:m + 1]))))
+        old, e = self._spread, len(self._qpow)
         # (t+y)(w-y) with t + w <= n stays below n^2 / 4
         new = [self._q ** k for k in range(e, width * width // 4 + 1)]
         self._qpow = qpow = np.concatenate((self._qpow, np.array(new, self._dtype)))
@@ -239,20 +233,16 @@ class PcCurve:
     argmin_n: int
 
 
-def pc_curve(n_max: int, p: Prob, exact: bool | None = None) -> PcCurve:
+def pc_curve(n_max: int, p: Prob) -> PcCurve:
     """Tabulate the strong-connectivity probability for n = 1..n_max.
 
-    ``exact=None`` picks exact arithmetic when ``p`` is a ``Fraction`` and
-    ``n_max <= EXACT_PC_MAX_N``, floats otherwise. The argmin over the
-    computed range breaks ties toward smaller n.
+    A ``Fraction`` p with ``n_max <= EXACT_PC_MAX_N`` is computed exactly,
+    any other p in binary64 floats; ``PcCurve.p`` is the p in the type used.
+    The argmin over the computed range breaks ties toward smaller n.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if exact is None:
-        exact = isinstance(p, Fraction) and n_max <= EXACT_PC_MAX_N
-    pv: Prob = p if exact else float(p)
-    if exact and not isinstance(p, Fraction):
-        raise ValueError("exact mode requires p as a Fraction")
+    pv: Prob = p if isinstance(p, Fraction) and n_max <= EXACT_PC_MAX_N else float(p)
     session = ConnectivitySession(pv)
     session.prob_strongly_connected(n_max)  # grows the tables once, in one batch
     rows = [(n, session.prob_strongly_connected(n)) for n in range(1, n_max + 1)]

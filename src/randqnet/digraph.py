@@ -25,12 +25,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from statistics import NormalDist
+from typing import Union
 
 import numpy as np
 
-from .connectivity import Prob
+Prob = Union[Fraction, float]  # an edge probability: exact as a Fraction, binary64 as a float
 
 __all__ = [
+    "Prob",
     "CostGuardError",
     "DirectedGraph",
     "McEstimate",
@@ -202,8 +204,6 @@ def strongly_connected_counts(n: int) -> tuple[int, ...]:
         raise CostGuardError(
             f"exhaustive enumeration refused for n={n} (max {BRUTEFORCE_MAX_N})"
         )
-    if n == 1:
-        return (1,)
     n_arcs = n * (n - 1)
     flags = _strong_flags(_enumeration_planes(n), n)
     bits = np.unpackbits(flags.view(np.uint8), bitorder="little")[: 1 << n_arcs]
@@ -220,8 +220,6 @@ def exact_pc_bruteforce(n: int, p: Prob) -> Prob:
     The counts are computed once per n and cached.
     """
     counts = strongly_connected_counts(n)
-    if n == 1:
-        return Fraction(1) if isinstance(p, Fraction) else 1.0
     q = 1 - p
     n_arcs = n * (n - 1)
     total = 0

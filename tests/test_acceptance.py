@@ -137,7 +137,7 @@ def test_a4_bound_chain_and_curve_shape():
     shapes = []
     for p, n_max in ((Fraction(2, 3), 15), (Fraction(1, 2), 20), (Fraction(3, 7), 25),
                      (Fraction(2, 5), 28), (Fraction(1, 3), 35), (Fraction(1, 5), 50)):
-        curve = pc_curve(n_max, p, exact=False)
+        curve = pc_curve(n_max, float(p))
         vals = [v for _, v in curve.rows]
         n_star = curve.argmin_n
         assert n_star < n_max

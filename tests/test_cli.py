@@ -4,12 +4,14 @@ import csv
 import io
 import json
 import time
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_UP, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from randqnet import asymptotic_state, index_to_word, state_mixed, state_plus, state_zero
+from randqnet import (asymptotic_state, index_to_word, prob_strongly_connected, state_mixed, state_plus,
+                      state_zero)
 from randqnet.cli import EXIT_COST, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from conftest import dense_cnot, ptm_of_unitary
 
@@ -52,14 +54,8 @@ def test_pc_table_unparseable_probability(capsys):
     assert code == EXIT_USAGE
 
 
-def test_pc_table_exact_cost_guard(capsys):
-    code, _, err = run_cli(capsys, "pc", "table", "--exact", "--nmax", "40")
-    assert code == EXIT_COST
-    assert "refused" in err
-
-
 def test_pc_table_refuses_beyond_the_float_limit_at_once(capsys):
-    # float binomials overflow past n = 1030; the refusal comes before any P_C
+    # float binomials overflow past n = 1030; the session refuses before any P_C
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "pc", "table", "--p", "1/2", "--nmax", "1031")
     assert time.perf_counter() - start < 1.0
@@ -83,7 +79,8 @@ def test_float_values_outside_the_unit_interval_are_flagged(capsys):
     code, out, err = run_cli(capsys, "pc", "table", "--p", "0.0069", "--nmax", "70")
     assert code == EXIT_OK
     assert {r["n"]: r["p_c"] for r in parse_csv(out)}["62"] == "-1.8575"
-    assert err.splitlines()[1:] == [
+    assert err.splitlines() == [
+        "note: P_C at p = 0.0069 uses the float path (exact only for a rational p up to nmax = 30)",
         "warning: 35 float P_C values at p = 0.0069 lie outside [0, 1], n = 11..70; "
         "the float path cancels there, so these rows are wrong"]
     code, out, err = run_cli(capsys, "pc", "curve", "--p-list", "0.01,0.5", "--nmax", "400")
@@ -94,19 +91,20 @@ def test_float_values_outside_the_unit_interval_are_flagged(capsys):
         "the float path cancels there, so these rows are wrong"]
 
 
+FLOAT_NOTE = "note: P_C at p = {} uses the float path (exact only for a rational p up to nmax = 30)"
+
+
 def test_rational_probability_on_float_path_is_noted(capsys):
     code, out, err = run_cli(capsys, "pc", "table", "--p", "1/2", "--nmax", "31")
     assert code == EXIT_OK
-    assert [line for line in err.splitlines() if line.startswith("note:")] == [
-        "note: rational probability 1/2 uses the float path for nmax > 30"
-    ]
+    assert err.splitlines() == [FLOAT_NOTE.format("1/2")]
     # the note leaves stdout as the decimal-p float run prints it
     assert run_cli(capsys, "pc", "table", "--p", "0.5", "--nmax", "31")[1] == out
     assert run_cli(capsys, "pc", "table", "--p", "1/2", "--nmax", "30")[2] == ""
 
     code, _, err = run_cli(capsys, "pc", "curve", "--p-list", "1/2,1/3", "--nmax", "31")
     assert code == EXIT_OK
-    assert err.splitlines() == ["note: rational probabilities use the float path for nmax > 30"]
+    assert err.splitlines() == [FLOAT_NOTE.format("1/2"), FLOAT_NOTE.format("1/3")]
     assert run_cli(capsys, "pc", "curve", "--p-list", "1/2,1/3", "--nmax", "30")[2] == ""
 
 
@@ -116,7 +114,53 @@ def test_float_path_note_only_where_an_exact_path_exists(capsys):
     assert not [line for line in err.splitlines() if line.startswith("note:")]
     code, _, err = run_cli(capsys, "pc", "table", "--p", "0.5")
     assert code == EXIT_OK
-    assert err.splitlines() == ["note: decimal probability 0.5 uses the float path"]
+    assert err.splitlines() == [FLOAT_NOTE.format("0.5")]
+    # one note per float-routed p: at nmax = 30 only the decimal ones
+    code, _, err = run_cli(capsys, "pc", "curve", "--p-list", "1/2,0.3,1/3,0.25", "--nmax", "30")
+    assert code == EXIT_OK
+    assert err.splitlines() == [FLOAT_NOTE.format("0.3"), FLOAT_NOTE.format("0.25")]
+
+
+def test_pc_curve_refuses_a_float_path_that_lost_all_precision(capsys):
+    # at p = 0.0005 the float P_C cancels to nan from n = 373 on
+    code, out, err = run_cli(capsys, "pc", "curve", "--p-list", "0.0005", "--nmax", "400")
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "numerical failure: P_C(373) at p = 0.0005 is nan: the float path lost all "
+        "precision there, so no row can be printed")
+
+
+def test_pc_table_fixed_decimals_equal_the_exact_digits(capsys):
+    # 30 decimals is past the 28 digits of the default Decimal context
+    code, out, _ = run_cli(capsys, "pc", "table", "--nmax", "12", "--precision", "30")
+    assert code == EXIT_OK
+    with localcontext() as ctx:
+        ctx.prec = 80
+        for row in parse_csv(out):
+            value = prob_strongly_connected(int(row["n"]), Fraction(1, 2))
+            exact = Decimal(value.numerator) / value.denominator
+            assert row["p_c"] == str(exact.quantize(Decimal(10) ** -30, rounding=ROUND_HALF_UP))
+
+
+def test_pc_table_prints_small_values_without_exponent(capsys):
+    code, out, _ = run_cli(capsys, "pc", "table", "--p", "1/100", "--nmax", "12", "--precision", "9")
+    assert code == EXIT_OK
+    values = [row["p_c"] for row in parse_csv(out)]
+    assert values[:4] == ["0.000100000", "0.000002029", "0.000000063", "0.000000003"]
+    assert all("E" not in v and len(v) == 11 for v in values)
+
+
+@pytest.mark.parametrize("argv", [
+    ("pc", "table"), ("pc", "curve", "--nmax", "3"), ("pc", "bound", "--nmax", "3"),
+    ("pc", "mc", "--n", "3", "--samples", "10"), ("evolve", "dynamic", "--n", "2", "--rmax", "1"),
+    ("asymptote", "--n", "2"),
+])
+def test_negative_precision_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--precision", "-1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: --precision must be >= 0\n"
 
 
 def test_csv_output_is_lf_terminated(tmp_path, capsys):

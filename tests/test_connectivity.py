@@ -2,12 +2,14 @@
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
 from randqnet import (
     ConnectivitySession,
+    CostGuardError,
     estimate_pc_monte_carlo,
     exact_pc_bruteforce,
     lower_bound_pc,
@@ -146,13 +148,17 @@ def test_factorization_equals_partition_sum_oracle(p):
 
 def test_float_disconnection_keeps_relative_accuracy():
     # 1 - P_C(n) rounds to zero in floats from n ~ 60 at p = 1/2; the
-    # disconnection side is summed from its own non-negative terms instead
-    exact = ConnectivitySession(HALF)
+    # disconnection side is summed from its own non-negative terms instead.
+    # The reference runs the same recurrences in 50-digit decimals, far
+    # cheaper than big rationals at n = 100
+    with localcontext() as ctx:
+        ctx.prec = 50
+        reference = ConnectivitySession(Decimal(1) / 2)
+        refs = {n: Fraction(reference.prob_disconnected(n)) for n in (40, 60, 100)}
     fsession = ConnectivitySession(0.5)
-    for n in (40, 60, 100):
-        ref = exact.prob_disconnected(n)
+    for n, ref in refs.items():
         assert abs(Fraction(fsession.prob_disconnected(n)) - ref) <= Fraction(1, 10 ** 12) * ref
-    assert float(exact.prob_disconnected(100)) == pytest.approx(3.155443620884047221646914e-28, rel=1e-15)
+    assert float(refs[100]) == pytest.approx(3.155443620884047221646914e-28, rel=1e-15)
 
 
 def test_float_bits_are_pinned():
@@ -289,13 +295,17 @@ def test_undirected_float_matches_exact():
 
 def test_float_binomial_overflow_raises():
     # row C(1030, j) is the first to overflow binary64, and n = 1031 reads it:
-    # inf times a power of 1 - p would turn the sums into nan
+    # inf times a power of 1 - p would turn the sums into nan, so the session
+    # refuses before it computes anything
     assert FLOAT_PC_MAX_N == 1030
     for p in (0.5, 0.01):
         value = prob_disconnected_undirected(1030, p)
         assert math.isfinite(value) and 0 < value < 1
-        with pytest.raises(OverflowError, match="at most n = 1030"):
-            prob_disconnected_undirected(1031, p)
+        session = ConnectivitySession(p)
+        for query in (session.prob_disconnected_undirected, session.prob_strongly_connected):
+            with pytest.raises(CostGuardError, match="at most n = 1030"):
+                query(1031)
+        assert session._spread.shape == (2, 1)
 
 
 def test_undirected_term_ratio_identity():

@@ -147,7 +147,10 @@ def test_agrees_with_naive_reachability_random_large(rng):
 def test_bruteforce_two_vertices_symbolic():
     for p in (Fraction(1, 7), Fraction(1, 2), Fraction(5, 6)):
         assert exact_pc_bruteforce(2, p) == p * p
-    assert exact_pc_bruteforce(1, Fraction(1, 3)) == 1
+    # one vertex: the general sum has the single term p^0 q^0, in the type of p
+    for p in (Fraction(1, 3), 0.3):
+        value = exact_pc_bruteforce(1, p)
+        assert value == 1 and type(value) is type(p)
 
 
 def test_bruteforce_three_vertices():
@@ -156,7 +159,7 @@ def test_bruteforce_three_vertices():
 
 
 def test_counts_match_per_graph_tarjan_small():
-    for n in (2, 3, 4):
+    for n in (1, 2, 3, 4):
         n_arcs = n * (n - 1)
         expected = [0] * (n_arcs + 1)
         for mask in range(1 << n_arcs):
