@@ -60,7 +60,10 @@ def _parse_prob(text: str, *, closed: bool = False) -> connectivity.Prob:
 
 
 def _parse_prob_list(text: str) -> list[connectivity.Prob]:
-    return [_parse_prob(tok) for tok in text.split(",") if tok.strip()]
+    probs = [_parse_prob(tok) for tok in text.split(",") if tok.strip()]
+    if not probs:
+        raise UsageError(f"--p-list {text!r} names no probability")
+    return probs
 
 
 def _fmt(value, precision: int) -> str:
@@ -232,10 +235,12 @@ def _cmd_asymptote(args) -> int:
         rho = named[args.state](n)
     else:
         with open(args.state, encoding="utf-8") as fh:
-            coeffs = json.load(fh)
-        rho = np.asarray(coeffs, dtype=float)
-        if rho.size != 4 ** n:
-            raise UsageError(f"coefficient file must hold {4 ** n} values for n={n}")
+            coeffs = json.load(fh, parse_int=float)  # an integer too large for a float reads as inf
+        if not (isinstance(coeffs, list) and len(coeffs) == 4 ** n
+                and all(type(c) is float and math.isfinite(c) for c in coeffs)):
+            raise UsageError(f"coefficient file must hold a flat JSON array of {4 ** n} finite "
+                             f"numbers for n={n}")
+        rho = np.array(coeffs)
     sigma = channels.asymptotic_state(n, rho)
     _write_rows(_coefficient_rows(sigma, n, args.precision), ["index", "word", "coefficient"],
                 args.format, args.out)

@@ -9,15 +9,14 @@ this module evaluates
 * the connectivity probability of the undirected G(n, p) model, and
 * an exponential lower bound useful for large ``n``.
 
-The core algorithm is a reachability factorization (see
-``ConnectivitySession``): conditioning on the set of vertices that reach
-a fixed vertex gives P_C(n) in O(n^3) operations from one auxiliary
-reachability recurrence. Its t = 1 row, the probability that a fixed
-vertex reaches all others, is the undirected connectivity recurrence, so
-the same table answers the undirected model. One code path serves every
-number type, so the result is exact (``fractions.Fraction``) when ``p``
-is a ``Fraction`` and IEEE-754 binary64 when ``p`` is a float;
-``pc_curve`` keeps a rational ``p`` exact up to ``EXACT_PC_MAX_N``.
+The core algorithm (see ``ConnectivitySession``) runs three recurrences
+over the number of vertices alone, O(n^2) operations to n: the undirected
+connectivity recurrence, a signed sum over the source strong components
+of a digraph, and the strong-connectivity recurrence built on that sum
+(Liskovets 1969; Wright 1971). One code path serves every number type, so
+the result is exact (``fractions.Fraction``) when ``p`` is a ``Fraction``
+and IEEE-754 binary64 when ``p`` is a float; ``pc_curve`` keeps a rational
+``p`` exact up to ``EXACT_PC_MAX_N``.
 
 The partition view of the same quantity (a non-strongly-connected digraph
 splits uniquely into at least two maximal strongly connected pieces whose
@@ -58,32 +57,33 @@ class ConnectivitySession:
     One session holds the memo tables for a single ``p``; distinct sessions
     may be used freely from concurrent threads. All arithmetic happens in
     the number type of ``p`` (exact for a ``Fraction``, binary64 for a
-    float) on one code path. With q = 1 - p, two recurrences, each
-    conditioning on an exact reached set, give strong connectivity:
+    float) on one code path. With q = 1 - p and sums over 1 <= k < n, three
+    recurrences over n alone give every quantity:
 
-    * U(t, w) = 1 - sum_{y<w} C(w, y) U(t, y) q^((t+y)(w-y)), the
-      probability that a mutually reachable block of t vertices reaches all
-      of w outside vertices. Its t = 1 row R(n) = U(1, n-1) is the
-      probability that vertex 1 reaches every vertex; this is term for term
-      the undirected connectivity recurrence (Gilbert 1959), so R(n) is also
+    * R(n) = 1 - sum C(n-1, k-1) R(k) q^(k(n-k)), the probability that
+      vertex 1 reaches every vertex, from the component of vertex 1: the
+      undirected connectivity recurrence (Gilbert 1959), so R(n) is also
       the probability that an undirected G(n, p) graph is connected;
-    * P_C(n) = R(n) - sum_{t<n} C(n-1, t-1) P_C(t) q^(t(n-t)) U(t, n-t):
-      with T the co-reach set of vertex 1, vertex 1 reaches everything iff
-      no arc enters T, T is strongly connected and T spreads to the rest.
+    * eta(n) = 1 - sum C(n, k) q^(k(n-k)) eta(k), the weight of n vertices
+      split into strongly connected pieces with no arc between them, signed
+      (-1)^(pieces - 1). Every digraph has a source strong component; the
+      non-empty sets of source components, signed so, count 1, and a k-set
+      is the union of one exactly when no arc enters it and it splits as
+      eta counts, so 1 = sum_{k<=n} C(n, k) q^(k(n-k)) eta(k);
+    * P_C(n) = eta(n) + sum C(n-1, k-1) P_C(k) q^(2k(n-k)) eta(n-k), the
+      same identity with the piece that holds vertex 1 split off.
 
-    The t = 1 row keeps, next to each R, the non-negative sum it subtracts.
-    The disconnection probabilities are sums of non-negative parts: that
-    sum for the undirected graph, and that sum plus sum_t(...) for the
-    directed one, so they stay accurate in floats where 1 - P_C(n) rounds
-    to zero.
+    The disconnection probabilities are sums, not 1 minus a rounded value:
+    1 - R(n) is the sum R subtracts and 1 - P_C(n) = sum_eta - sum_P, so
+    they stay accurate in floats where 1 - P_C(n) rounds to zero.
 
     The tables are numpy arrays of dtype float64 for a float ``p`` and
-    object otherwise, grown in one batch to the n asked for. Column w of U
-    needs only the columns before it, so it takes one numpy pass over every
-    block size t, and each P_C(m) one pass over t: O(n) numpy calls for the
-    O(n^3) arithmetic. Products run left to right and sums through
-    ``cumsum``, which adds in sequence, so each float keeps the bits of the
-    scalar recurrence. An undirected query fills only the t = 1 row: O(n^2).
+    object otherwise, indexed by n and grown in one batch to the n asked
+    for: O(n^2) arithmetic, one numpy pass per n over the sizes below it.
+    C(n, k) is formed as C(n-1, k-1) * n / k with the power multiplied in
+    before the ratio, so no float reads binomial row n, which overflows at
+    n = 1030. Products run left to right and sums through ``cumsum``, which
+    adds in sequence.
     """
 
     def __init__(self, p: Prob):
@@ -96,83 +96,57 @@ class ConnectivitySession:
         self._dtype = np.float64 if isinstance(p, float) else object
         self._qpow = np.empty(0, self._dtype)  # q^e, each computed in Python as q ** e
         self._binom: list[np.ndarray] = []  # row m holds C(m, j) for j = 0..m
-        # U[t, w], known for t + w <= self._tri and, on the t = 1 row, for every column
-        self._spread, self._tri = np.full((2, 1), one, self._dtype), 1
-        self._reach_sums: list[Prob] = [one - one]  # 1 - U(1, w), summed directly
-        # entry n belongs to n vertices; index 0 is a placeholder
-        self._strong = np.full(2, one, self._dtype)
-        self._disc: list[Prob] = [one, one - one]
+        # R, 1 - R, eta, P_C and 1 - P_C; entry n belongs to n vertices, index 0 is a placeholder
+        at_one = dict(reach=one, miss=one - one, eta=one, strong=one, disc=one - one)
+        self._tables = {k: np.array([one, v], self._dtype) for k, v in at_one.items()}
 
     def prob_strongly_connected(self, n: int) -> Prob:
         """Probability that G(n, p) is strongly connected."""
-        self._fill(n)
-        return self._strong.item(n)
+        return self._fill(n)["strong"].item(n)
 
     def prob_disconnected(self, n: int) -> Prob:
         """Probability that G(n, p) is not strongly connected (0 for n = 1)."""
-        self._fill(n)
-        return self._disc[n]
+        return self._fill(n)["disc"].item(n)
 
     def prob_connected_undirected(self, n: int) -> Prob:
         """Probability that an undirected G(n, p) graph is connected."""
-        self._grow(n, directed=False)
-        return self._spread.item(1, n - 1)
+        return self._fill(n)["reach"].item(n)
 
     def prob_disconnected_undirected(self, n: int) -> Prob:
         """Probability that an undirected G(n, p) graph is disconnected (0 for n = 1)."""
-        self._grow(n, directed=False)
-        return self._reach_sums[n - 1]
+        return self._fill(n)["miss"].item(n)
 
     @np.errstate(over="ignore", invalid="ignore")  # float cancellation may reach inf and nan
-    def _grow(self, n: int, directed: bool) -> None:
-        """Grow U to the columns w < n: every block size t <= n - w if ``directed``, else t = 1."""
+    def _fill(self, n: int) -> dict[str, np.ndarray]:
+        """Extend every table to n vertices, ascending, and return the tables."""
         if n < 1:
             raise ValueError("n must be >= 1")
         if n > FLOAT_PC_MAX_N and self._dtype is np.float64:
             raise CostGuardError(f"float binomials C({n - 1}, j) overflow; the float path "
                                  f"supports at most n = {FLOAT_PC_MAX_N} vertices")
-        tri, reach = self._tri, self._spread.shape[1]
-        size, width = max(tri, n) if directed else tri, max(reach, n)
-        if (size, width) == (tri, reach):
-            return
-        binom, one = self._binom, self._one
-        ints = one * np.arange(width).astype(self._dtype)  # 0, 1, ..., width - 1 in the type of p
-        for m in range(len(binom), width):  # C(m, j): c *= (m - j) / (j + 1), ratio by ratio
-            binom.append(np.cumprod(np.concatenate(([one], ints[m:0:-1] / ints[1:m + 1]))))
-        old, e = self._spread, len(self._qpow)
-        # (t+y)(w-y) with t + w <= n stays below n^2 / 4
-        new = [self._q ** k for k in range(e, width * width // 4 + 1)]
-        self._qpow = qpow = np.concatenate((self._qpow, np.array(new, self._dtype)))
-        U = np.full((max(size, 2), width), one, self._dtype)
-        U[:old.shape[0], :reach] = old
-        for w in range(1, width):
-            lo, hi = max(tri - w, int(w < reach)) + 1, max(size - w, 1)  # rows t still missing
-            if lo <= hi:
-                t, y = np.arange(lo, hi + 1)[:, None], np.arange(w)
-                terms = (binom[w][:w] * U[lo:hi + 1, :w]) * qpow[(t + y) * (w - y)]
-                s = terms.cumsum(axis=1)[:, -1]
-                U[lo:hi + 1, w] = one - s
-                if lo == 1:  # only R needs its sum
-                    self._reach_sums.append(s.item(0))
-        self._spread, self._tri = U, size
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def _fill(self, n: int) -> None:
-        """Extend P_C and the disconnection table to n vertices, ascending."""
-        self._grow(n, directed=True)
-        done = len(self._strong) - 1
+        done = len(self._tables["reach"]) - 1
         if n <= done:
-            return
-        one, U, qpow, miss = self._one, self._spread, self._qpow, self._reach_sums
-        self._strong = strong = np.concatenate((self._strong, np.empty(n - done, self._dtype)))
+            return self._tables
+        binom, one = self._binom, self._one
+        ints = one * np.arange(n + 1).astype(self._dtype)  # 0, 1, ..., n in the type of p
+        for m in range(len(binom), n):  # C(m, j): c *= (m - j) / (j + 1), ratio by ratio
+            binom.append(np.cumprod(np.concatenate(([one], ints[m:0:-1] / ints[1:m + 1]))))
+        new = [self._q ** e for e in range(len(self._qpow), n * n // 4 + 1)]  # k(n - k) <= n^2 / 4
+        self._qpow = qpow = np.concatenate((self._qpow, np.array(new, self._dtype)))
+        tables = {k: np.concatenate((t, np.empty(n - done, self._dtype))) for k, t in self._tables.items()}
+        reach, miss, eta, strong, disc = tables.values()
         for m in range(done + 1, n + 1):
-            t = np.arange(1, m)
-            terms = ((self._binom[m - 1][:m - 1] * strong[1:m]) * qpow[t * (m - t)]) * U[t, m - t]
-            s = terms.cumsum().item(-1)
-            # the double complement rounds a float P_C(m) to the grid of 1,
-            # so 1 - (1 - P_C) == P_C; on exact types it is the identity
-            strong[m] = one - (one - (U.item(1, m - 1) - s))
-            self._disc.append(miss[m - 1] + s)
+            k = np.arange(1, m)
+            c, pw = binom[m - 1][:m - 1], qpow[k * (m - k)]
+            miss[m] = ((c * reach[1:m]) * pw).cumsum()[-1]
+            reach[m] = one - miss[m]
+            s_eta = (((c * pw) * (ints[m] / ints[1:m])) * eta[1:m]).cumsum()[-1]
+            eta[m] = one - s_eta
+            s_strong = (((c * strong[1:m]) * (pw * pw)) * eta[m - 1:0:-1]).cumsum()[-1]
+            strong[m] = eta[m] + s_strong
+            disc[m] = s_eta - s_strong
+        self._tables = tables
+        return tables
 
 
 # -- module-level conveniences (fresh session per call) --

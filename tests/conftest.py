@@ -374,12 +374,15 @@ def undirected_connected_oracle(n: int, p: Fraction) -> Fraction:
 
 
 class ScalarReachSession:
-    """The scalar reach factorization, one Python loop per table entry.
+    """The reach factorization of P_C, one Python loop per table entry.
 
-    The package's ``ConnectivitySession`` evaluates the same recurrences a
-    numpy column at a time; this loop is the reference for its bits. Each
-    product runs left to right and each sum adds from 0 in order of its
-    index, in the number type of ``p``.
+    With T the set of vertices that reach vertex 1, P_C(n) = R(n) -
+    sum_t C(n-1, t-1) P_C(t) q^(t(n-t)) U(t, n-t), where U(t, w) = 1 -
+    sum_{y<w} C(w, y) U(t, y) q^((t+y)(w-y)) is the probability that a
+    mutually reachable block of t vertices reaches w outside ones and
+    R(n) = U(1, n-1). This O(n^3) derivation shares no recurrence but R
+    with the package's ``ConnectivitySession``, so on exact number types it
+    is an independent oracle for every value the session returns.
     """
 
     def __init__(self, p):

@@ -65,29 +65,30 @@ def test_pc_table_refuses_beyond_the_float_limit_at_once(capsys):
 
 
 def test_pc_table_refuses_a_float_path_that_lost_all_precision(capsys):
-    # at p = 0.0069 the float P_C cancels to nan from n = 649 on
+    # at p = 0.0069 the float P_C cancels to nan from n = 656 on
     code, out, err = run_cli(capsys, "pc", "table", "--p", "0.0069", "--nmax", "660")
     assert code == EXIT_NUMERIC
     assert out == ""
     assert err.splitlines()[-1] == (
-        "numerical failure: P_C(649) at p = 0.0069 is nan: the float path lost all "
+        "numerical failure: P_C(656) at p = 0.0069 is nan: the float path lost all "
         "precision there, so no row can be printed")
 
 
 def test_float_values_outside_the_unit_interval_are_flagged(capsys):
     # stdout stays as it was; one stderr line counts the wrong rows per p
+    # (the printed n = 62 value is wrong: the exact P_C is 3.7e-42)
     code, out, err = run_cli(capsys, "pc", "table", "--p", "0.0069", "--nmax", "70")
     assert code == EXIT_OK
-    assert {r["n"]: r["p_c"] for r in parse_csv(out)}["62"] == "-1.8575"
+    assert {r["n"]: r["p_c"] for r in parse_csv(out)}["62"] == "2.0029"
     assert err.splitlines() == [
         "note: P_C at p = 0.0069 uses the float path (exact only for a rational p up to nmax = 30)",
-        "warning: 35 float P_C values at p = 0.0069 lie outside [0, 1], n = 11..70; "
+        "warning: 36 float P_C values at p = 0.0069 lie outside [0, 1], n = 9..70; "
         "the float path cancels there, so these rows are wrong"]
     code, out, err = run_cli(capsys, "pc", "curve", "--p-list", "0.01,0.5", "--nmax", "400")
     assert code == EXIT_OK
     assert len(parse_csv(out)) == 800
     assert [line for line in err.splitlines() if line.startswith("warning:")] == [
-        "warning: 361 float P_C values at p = 0.01 lie outside [0, 1], n = 11..400; "
+        "warning: 361 float P_C values at p = 0.01 lie outside [0, 1], n = 10..400; "
         "the float path cancels there, so these rows are wrong"]
 
 
@@ -122,12 +123,12 @@ def test_float_path_note_only_where_an_exact_path_exists(capsys):
 
 
 def test_pc_curve_refuses_a_float_path_that_lost_all_precision(capsys):
-    # at p = 0.0005 the float P_C cancels to nan from n = 373 on
+    # at p = 0.0005 the float P_C cancels to nan from n = 369 on
     code, out, err = run_cli(capsys, "pc", "curve", "--p-list", "0.0005", "--nmax", "400")
     assert code == EXIT_NUMERIC
     assert out == ""
     assert err.splitlines()[-1] == (
-        "numerical failure: P_C(373) at p = 0.0005 is nan: the float path lost all "
+        "numerical failure: P_C(369) at p = 0.0005 is nan: the float path lost all "
         "precision there, so no row can be printed")
 
 
@@ -365,6 +366,23 @@ def test_asymptote_bad_file_length(tmp_path, capsys):
     path.write_text("[1.0, 0.0]")
     code, _, _ = run_cli(capsys, "asymptote", "--n", "2", "--state", str(path))
     assert code == EXIT_USAGE
+
+
+def test_asymptote_refuses_malformed_coefficient_files(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    for text in ('{"coefficients": [1.0]}', "[1e400" + ", 0" * 15 + "]",
+                 json.dumps(state_zero(2).reshape(4, 4).tolist())):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "asymptote", "--n", "2", "--state", str(path))
+        assert code == EXIT_USAGE and out == "", text
+        assert err == "error: coefficient file must hold a flat JSON array of 16 finite numbers for n=2\n"
+
+
+def test_empty_probability_list_is_a_usage_error(capsys):
+    for argv in (("pc", "curve", "--p-list", ","), ("evolve", "dynamic", "--n", "2", "--p-list", ",")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: --p-list ',' names no probability\n"
 
 
 def test_asymptote_cost_guard(capsys):
