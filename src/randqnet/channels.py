@@ -476,13 +476,27 @@ def _relabel_orbits(n: int, blocks) -> tuple[np.ndarray, np.ndarray]:
     return orbit, 2 * math.factorial(n) / count
 
 
+def _orbit_labels(orbits, rows: int) -> np.ndarray:
+    """Label of every entry of a (rows, flat) array, raveled: o + i * (number of orbits) in row i on orbit o.
+
+    One ``bincount`` over these labels sums every row over every orbit, each
+    sum adding its entries in flat order, as a per-row ``bincount`` would.
+    """
+    return (orbits[0] + len(orbits[1]) * np.arange(rows)[:, None]).ravel()
+
+
+def _orbit_sums(A: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Sum of each flat row of A over each orbit, (rows, orbits), given ``_orbit_labels(orbits, len(A))``."""
+    return np.bincount(labels, weights=A.ravel()).reshape(len(A), -1)
+
+
 def _symmetrize(A: np.ndarray, orbits) -> np.ndarray:
     """Sum of g B g^T over the 2 n! relabelings and Hadamard conjugations g, for each flat row B of A.
 
     That sum is 2 n!/|orbit| times the sum of B over each entry's orbit.
     """
     orbit, scale = orbits
-    return np.stack([np.bincount(orbit, weights=row) * scale for row in A])[:, orbit]
+    return (_orbit_sums(A, _orbit_labels(orbits, len(A))) * scale)[:, orbit]
 
 
 def _graph_weights(n: int, p: float, masks) -> np.ndarray:
@@ -525,13 +539,24 @@ class _StaticEnsemble:
         self.bases = _link_sums(n, *_uniform_weights(n, masks), self.blocks)
         self.powers = self.bases.copy()  # r = 1
         self._buf = np.empty_like(self.powers)
+        self._views = [_block_views(a, self.blocks) for a in (self.powers, self.bases, self._buf)]
         self.limit = _flat_limit(n, self.blocks)
         self.orbits = _relabel_orbits(n, self.blocks) if symmetrize else None
+        if symmetrize:
+            orbit = self.orbits[0]
+            self._labels = _orbit_labels(self.orbits, len(self.W))
+            self._orbit_size = np.bincount(orbit)
+            self._orbit_limit = np.empty(len(self._orbit_size))
+            self._orbit_limit[orbit] = self.limit[0]
+            if not np.array_equal(self._orbit_limit[orbit], self.limit[0]):
+                raise RuntimeError("the limit must be constant on every relabeling orbit")
 
     def step(self):
-        for P, B, out in zip(*(_block_views(a, self.blocks) for a in (self.powers, self.bases, self._buf))):
+        powers, bases, buf = self._views
+        for P, B, out in zip(powers, bases, buf):
             np.matmul(P, B, out=out)
         self.powers, self._buf = self._buf, self.powers
+        self._views = [buf, bases, powers]
 
     def averages(self) -> np.ndarray:
         """Weighted sums of the current powers, one flat row per p in ``p_list``."""
@@ -539,8 +564,17 @@ class _StaticEnsemble:
         return _symmetrize(A, self.orbits) if self.orbits is not None else A
 
     def distances(self) -> np.ndarray:
-        """Hilbert-Schmidt distance of each average to the limit, one per p in ``p_list``."""
-        return np.linalg.norm(self.averages() - self.limit, axis=1)
+        """Hilbert-Schmidt distance of each average to the limit, one per p in ``p_list``.
+
+        A symmetrized average is 2 n!/|o| times the orbit sum T_o on every
+        entry of orbit o, and the limit is L_o there, so D^2 is the sum over
+        orbits of |o| (2 n!/|o| T_o - L_o)^2.
+        """
+        A = self.W @ self.powers
+        if self.orbits is None:
+            return np.linalg.norm(A - self.limit, axis=1)
+        diff = _orbit_sums(A, self._labels) * self.orbits[1] - self._orbit_limit
+        return np.sqrt((diff * diff * self._orbit_size).sum(axis=1))
 
 
 def _static_ensembles(n: int, p_list: list[float], mode: str | None, budget: int, seed: int):

@@ -592,6 +592,37 @@ def test_static_average_class_reduction_matches_direct(n):
     assert np.abs(psi2 - acc).max() <= 1e-13
 
 
+@pytest.mark.parametrize("n, n_orbits", [(2, 21), (3, 135), (4, 752)])
+def test_orbit_space_distance_equals_the_dense_norm(n, n_orbits):
+    # the static trace takes D from the orbit sums and never forms the
+    # symmetrized average; that rests on the limit being constant on every
+    # orbit of the relabelings and Hadamard conjugations
+    blocks = ch._word_blocks(n)
+    orbits = ch._relabel_orbits(n, blocks)
+    orbit = orbits[0]
+    assert len(orbits[1]) == n_orbits
+    limit = ch._flat_limit(n, blocks)[0]
+    low, high = np.full(n_orbits, np.inf), np.full(n_orbits, -np.inf)
+    np.minimum.at(low, orbit, limit)
+    np.maximum.at(high, orbit, limit)
+    assert np.array_equal(low, high)
+    (ens,) = ch._static_ensembles(n, [0.2, 0.95], None, 1, 0)
+    for r in range(1, 8):
+        if r > 1:
+            ens.step()
+        if r in (1, 2, 7):
+            dense = np.linalg.norm(ch._symmetrize(ens.W @ ens.powers, ens.orbits) - ens.limit, axis=1)
+            np.testing.assert_allclose(ens.distances(), dense, rtol=1e-12, atol=0)
+
+
+def test_static_trace_matches_the_dense_static_iterate():
+    p = 0.4
+    trace = dict(static_convergence_traces(3, [p], 40)[p])
+    for r in (1, 2, 5, 40):
+        dense = np.linalg.norm(static_average_iterate(3, p, r) - asymptotic_channel(3))
+        assert abs(trace[r] - dense) <= 1e-12
+
+
 def test_static_average_exhaustive_cost_guard():
     with pytest.raises(CostGuardError):
         static_average_iterate(5, 0.5, 1, mode="exhaustive")

@@ -192,11 +192,12 @@ def test_float_bits_are_pinned():
 
 
 def test_undirected_float_bits_are_pinned():
-    # binary64 results of R(n) = U(1, n - 1) and of the sum it subtracts, as
+    # binary64 results of R(n) = 1 - miss(n), with miss(n) the sum over
+    # k < n of C(n - 1, k - 1) R(k) q^(k(n - k)), and of miss(n) itself, as
     # released. At p = 0.01 the n = 20 and n = 100 values are far from the
-    # exact ones (R = 6.6e-16 and 6.4e-21): 1 - sum cancels there. These
-    # pins hold the bits of the current recurrence; a more accurate one
-    # moves them on purpose
+    # exact ones (R = 6.6e-16 and 6.4e-21): 1 - miss cancels there. These
+    # pins hold the bits of the current one-dimensional recurrence; a more
+    # accurate one moves them on purpose
     pinned = {
         0.5: ({2: "0x1.0000000000000p-1", 20: "0x1.fffaffffffb8bp-1",
                100: "0x1.0000000000000p+0", 1030: "0x1.0000000000000p+0"},
