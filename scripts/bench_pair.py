@@ -18,6 +18,10 @@ Per metric and workload the record holds the median and quartiles of each
 side (quartiles by linear interpolation, as ``numpy.percentile``), the
 number of pairs in which the change read lower and higher than the parent,
 and every run.
+
+After the pairs, the tier-1 test suite runs once in each tree, parent
+first, with ``--durations=15``; the record keeps each side's wall time,
+exit code, summary line and 15 slowest test phases.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -40,6 +45,23 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=15"]
+
+
+def tier1(root: str) -> dict:
+    """One timed tier-1 run in ``root``, with its ``src`` first on ``PYTHONPATH``."""
+    path = [os.path.join(os.path.abspath(root), "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    t0 = time.monotonic()
+    proc = subprocess.run(TIER1, cwd=root, env=env, capture_output=True, text=True)
+    wall = time.monotonic() - t0
+    lines = proc.stdout.strip().splitlines()
+    slowest = [{"s": float(m[1]), "phase": m[2], "test": m[3]}
+               for m in (re.match(r"([0-9.]+)s (setup|call|teardown) +(\S+)", line) for line in lines) if m]
+    return {"wall_s": round(wall, 1), "exit": proc.returncode, "summary": lines[-1] if lines else "",
+            "slowest": slowest}
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -150,12 +172,23 @@ def main() -> int:
             for side in ("parent", "change"):
                 runs[side].append(results[side])
             record["workloads"][workload] = summarize(runs)
-            tmp = out + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(record, fh, indent=1)
-                fh.write("\n")
-            os.replace(tmp, out)
+            write(record, out)
+    record["tier1"] = {"command": " ".join(["python -m pytest", *TIER1[3:]]) + ", src on PYTHONPATH"}
+    for side in ("parent", "change"):
+        record["tier1"][side] = tier1(roots[side])
+        print(f"tier-1 {side}: {record['tier1'][side]['wall_s']} s, {record['tier1'][side]['summary']}",
+              file=sys.stderr, flush=True)
+        write(record, out)
     return 0
+
+
+def write(record: dict, out: str) -> None:
+    """Replace ``out`` with the record, through a temporary file."""
+    tmp = out + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    os.replace(tmp, out)
 
 
 if __name__ == "__main__":

@@ -35,7 +35,10 @@ A dynamic network redraws its graph every step, so its r-th iterate is the
 r-th power S^r of the graph-averaged channel S; since S^r - L = (S - L)^r,
 the spectrum of S - L gives D(r) for every r. S = w_id Id + c A with A the
 sum of all link permutations, which does not depend on p, so one
-eigendecomposition of A per block and per n serves every p. A static
+spectrum of A per n serves every p. It is taken one symmetry sector at a
+time (``_link_sectors``): the qubit swaps (0 1), (2 3), ... and the global
+Hadamard letter swap commute with A, and each character of the abelian
+group they generate gives one small matrix per block. A static
 network keeps one unknown graph, so its r-th iterate is the ensemble
 average of the per-graph powers M_g^r, held per block for all graphs in
 one array: exact, from one representative per class of graphs up to
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -135,14 +139,19 @@ def cnot_conjugate(word: str, control: int, target: int) -> SignedPauli:
     return SignedPauli("".join(letters), int(_CNOT_SIGN[dc, dt]))
 
 
-@lru_cache(maxsize=None)
-def _cnot_index_action(n: int, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation and sign arrays of CNOT conjugation on all 4^n Pauli indices."""
-    idx = np.arange(4 ** n)
+def _cnot_images(idx: np.ndarray, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Image index and integer sign of each Pauli index in ``idx`` under CNOT conjugation."""
     dc = (idx >> (2 * control)) & 3
     dt = (idx >> (2 * target)) & 3
     perm = idx + (_CNOT_C[dc, dt] - dc) * 4 ** control + (_CNOT_T[dc, dt] - dt) * 4 ** target
-    sign = _CNOT_SIGN[dc, dt].astype(np.float64)
+    return perm, _CNOT_SIGN[dc, dt]
+
+
+@lru_cache(maxsize=None)
+def _cnot_index_action(n: int, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Permutation and sign arrays of CNOT conjugation on all 4^n Pauli indices."""
+    perm, sign = _cnot_images(np.arange(4 ** n), control, target)
+    sign = sign.astype(np.float64)
     perm.setflags(write=False)
     sign.setflags(write=False)
     return perm, sign
@@ -680,23 +689,122 @@ def static_convergence_traces(
     return {p: traces[float(p)] for p in p_list}
 
 
+# ---------------------------------------------------------------------------
+# Dynamic spectrum, one symmetry sector at a time
+# ---------------------------------------------------------------------------
+
+DYNAMIC_SECTOR_MAX = 4096  # largest sector matrix: 2551 words at n = 8, 10094 at n = 9
+
+# Letters of one qubit, or (a, image of a) of one swapped pair, that a group
+# element fixes, counted five ways: all I, no X bit, no Z bit, all, and even
+# minus odd Y count; [without, with] the letter swap X <-> Z.
+_QUBIT_FIXED = ((1, 2, 2, 4, 2), (1, 1, 1, 2, 0))
+_PAIR_FIXED = ((1, 2, 2, 4, 4), (1, 1, 1, 4, 4))
+
+
+def _group_image(words: np.ndarray, e: int, n: int) -> np.ndarray:
+    """Image of Pauli indices under the group element with bit mask ``e``.
+
+    Bit j < n // 2 swaps qubits 2j and 2j + 1; bit n // 2 swaps the letters
+    X and Z on every qubit (the global Hadamard without its Y signs). The
+    elements commute and each is its own inverse.
+    """
+    lo = sum(3 << 4 * j for j in range(n // 2) if e >> j & 1)  # qubit 2j's digit of each swapped pair
+    out = words & ~(lo | lo << 2) | (words & lo) << 2 | (words >> 2) & lo
+    if e >> n // 2 & 1:
+        out ^= (out & sum(1 << 2 * q for q in range(n))) << 1  # letter 1 (X) <-> 3 (Z)
+    return out
+
+
+def _sector_dim(n: int, k: int, chi: int) -> int:
+    """Dimension of sector ``chi`` of word class k, |G|^-1 sum_g chi(g) |Fix_k(g)|, without building words.
+
+    Class k's group G has the n // 2 swap bits of ``_group_image``, and on
+    classes 3 and 4 also the Hadamard bit; chi(e) = (-1)^|chi & e|. The
+    fixed words of an element are a product over its qubits and swapped
+    pairs, and the class counts are linear in the five ``_QUBIT_FIXED``
+    tallies, so the sum over the swaps factorizes pair by pair: a pair in
+    chi contributes (qubit^2 - pair), any other (qubit^2 + pair).
+    """
+    m = n // 2
+    j = (chi & ((1 << m) - 1)).bit_count()
+    total = 0
+    for h in (0, 1) if k >= 3 else (0,):
+        ident, no_x, no_z, every, y = (
+            a ** (n - 2 * m) * (a * a + b) ** (m - j) * (a * a - b) ** j
+            for a, b in zip(_QUBIT_FIXED[h], _PAIR_FIXED[h])
+        )
+        odd = (every - y) // 2
+        total += (-1) ** (h & chi >> m) * (ident, no_x - ident, no_z - ident,
+                                           every - no_x - no_z + ident - odd, odd)[k]
+    return total >> (m + (k >= 3))
+
+
+def _largest_sector(n: int) -> int:
+    """Words in the largest sector: a trivial one, since |chi| <= 1 and |Fix| >= 0."""
+    return max(_sector_dim(n, k, 0) for k in range(5))
+
+
+def _link_sectors(n: int, words: np.ndarray, pos: np.ndarray, k: int):
+    """Yield (chi, A_chi): the link sum A = sum of P_uv on word class k, in each nonempty sector chi.
+
+    ``words`` is class k and ``pos`` each word's position in its class.
+    The group G of ``_group_image`` (without the Hadamard bit on classes 0
+    to 2, which it swaps) commutes with A: a qubit swap relabels the links,
+    and the Hadamard maps P_uv to P_vu as the signed permutation +perm on
+    class 3 and -perm on class 4. Sector chi has the orthonormal basis
+    v_O = |O|^-1/2 sum_{t in O} chi(g_t) e_t over the orbits O whose
+    stabilizer chi is trivial on, where g_t maps O's least word r_O to t,
+    and A v_O = sum_l s_l(r_O) sqrt(|O| / |O'|) chi(g_t) v_O' with
+    t = pi_l(r_O) in orbit O'. So each sector matrix comes from the
+    n(n-1) link images of the representatives alone.
+    """
+    order = 1 << (n // 2 + (k >= 3))
+    images = np.stack([_group_image(words, e, n) for e in range(order)])
+    rep = images.min(axis=0)
+    reps, orbit = np.unique(rep, return_inverse=True)
+    g_of = (images == rep).argmax(axis=0)  # g_t, since g r_O = t exactly when g t = r_O
+    stab = images[:, pos[reps]] == reps
+    e = np.arange(order)
+    parity = (np.bitwise_count(e[:, None] & e) & 1).astype(np.int64)  # chi(e) = (-1)^parity[chi, e]
+    keep = parity @ stab == 0
+    size = order / stab.sum(axis=0)
+    control, target = np.array(arc_pairs(n)).T[:, :, None]
+    image, sign = _cnot_images(reps, control, target)  # (arcs, orbits)
+    at = pos[image]
+    dest, src, g = orbit[at], np.broadcast_to(np.arange(len(reps)), at.shape), g_of[at]
+    coef = sign * np.sqrt(size / size[dest])
+    for chi in range(order):
+        kept = keep[chi]
+        dim = int(kept.sum())
+        if dim:
+            new = np.cumsum(kept) - 1
+            sel = kept[dest] & kept
+            A = np.bincount(new[dest[sel]] * dim + new[src[sel]], minlength=dim * dim,
+                            weights=(coef * (1 - 2 * parity[chi, g]))[sel])
+            yield chi, A.reshape(dim, dim)
+
+
 @lru_cache(maxsize=None)
 def _link_spectrum(n: int) -> np.ndarray:
-    """Eigenvalues of A = sum of P_uv over all n(n-1) links, one ``eigvalsh`` per word block.
+    """Eigenvalues of A = sum of P_uv over all n(n-1) links, one ``eigvalsh`` per sector (``_link_sectors``).
 
-    Each block's largest eigenvalue is n(n-1), the one of its fixed-space
-    vector b_k (every P_uv fixes b_k, and no other vector is fixed by all
-    of them); it is checked and dropped, so the rest is the spectrum of A
-    on the complement of the limit's range.
+    Each block's fixed-space vector b_k lies in its trivial sector and has
+    that sector's largest eigenvalue, n(n-1) (every P_uv fixes b_k, and no
+    other vector is fixed by all of them); it is checked and dropped, so
+    the rest is the spectrum of A on the complement of the limit's range.
     """
     n_arcs = n * (n - 1)
     parts = []
-    blocks = _word_blocks(n)
-    for (A,) in _block_views(_link_sums(n, np.ones(n_arcs), 0.0, blocks), blocks):
-        lam = np.linalg.eigvalsh(A)
-        if abs(lam[-1] - n_arcs) > 1e-9 * n_arcs:
-            raise ArithmeticError(f"largest link-sum eigenvalue {lam[-1]!r} is not n(n-1) = {n_arcs}")
-        parts.append(lam[:-1])
+    idxs, pos = _word_blocks(n)
+    for k, words in enumerate(idxs):
+        for chi, A in _link_sectors(n, words, pos, k):
+            lam = np.linalg.eigvalsh(A)
+            if chi == 0:
+                if abs(lam[-1] - n_arcs) > 1e-9 * n_arcs:
+                    raise ArithmeticError(f"largest link-sum eigenvalue {lam[-1]!r} is not n(n-1) = {n_arcs}")
+                lam = lam[:-1]
+            parts.append(lam)
     spectrum = np.concatenate(parts)
     spectrum.setflags(write=False)
     return spectrum
@@ -711,17 +819,31 @@ def _dynamic_trace(n: int, p: Prob, r_max: int):
     then gives D(r)^2 = sum mu^(2r) for every r >= 1, and D(0) is
     ``_identity_distance(n)``. S = w_id * Id + c * A, and A commutes with L, so
     off the five zero eigenvalues on the range of L mu = w_id + c * lambda
-    over ``_link_spectrum(n)``, shared by every p.
+    over ``_link_spectrum(n)``, shared by every p. The sum is taken as
+    D(r) = m^r sqrt(sum (mu/m)^(2r)) with m = max |mu|, so it holds no
+    subnormal term that matters; the trace ends before m^r leaves the
+    normal float range. Refuses, before anything is built, when the largest
+    sector holds more than ``DYNAMIC_SECTOR_MAX`` words.
     """
+    largest = _largest_sector(n)
+    if largest > DYNAMIC_SECTOR_MAX:
+        words = largest if largest.bit_length() <= 64 else f"about 2^{largest.bit_length() - 1}"
+        raise CostGuardError(f"dynamic evolution refused for n={n}: its largest symmetry sector holds "
+                             f"{words} words (max {DYNAMIC_SECTOR_MAX})")
     yield 0, _identity_distance(n)
     if r_max < 1:
         return
     w_id, c = _average_weights(n, p)
-    mu2 = (w_id + c * _link_spectrum(n)) ** 2
-    power = mu2
+    mu = w_id + c * _link_spectrum(n)
+    m = float(np.abs(mu).max())
+    ratio2 = (mu / m) ** 2
+    power, scale = ratio2, m
     for r in range(1, r_max + 1):
-        yield r, math.sqrt(power.sum())
-        power = power * mu2
+        if scale < sys.float_info.min:  # m^r would be subnormal
+            return
+        yield r, scale * math.sqrt(power.sum())
+        power = power * ratio2
+        scale *= m
 
 
 def convergence_trace(
@@ -741,6 +863,8 @@ def convergence_trace(
     average of per-graph r-th powers (exhaustive up to
     ``STATIC_EXHAUSTIVE_MAX_N`` qubits, ``budget`` seeded draws above).
     ``stop_below`` truncates the trace once D drops under the given value.
+    A dynamic trace also ends before r_max where max|mu|^r, a factor of
+    every later D(r), would leave the normal float range.
     """
     if r_max < 0:
         raise ValueError("r_max must be >= 0")

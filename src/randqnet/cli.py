@@ -202,16 +202,20 @@ def _cmd_evolve(args) -> int:
     p_list = _parse_prob_list(args.p_list)
     if args.n < 2:
         raise UsageError("--n must be >= 2")
-    if args.n > 6:
-        raise CostGuardError("channel iteration refused for n > 6 (at n = 7 the two largest "
+    if args.mode == "static" and args.n > 6:
+        raise CostGuardError("static channel iteration refused for n > 6 (at n = 7 the two largest "
                              "Pauli word blocks hold 8001 and 8128 words)")
     if args.rmax < 0:
         raise UsageError("--rmax must be >= 0")
     rows = []
     if args.mode == "dynamic":
         for p in p_list:
+            ps = _prob_str(p)
             trace = channels.convergence_trace(args.n, float(p), "dynamic", args.rmax)
-            rows.extend((_prob_str(p), r, _fmt(d, args.precision)) for r, d in trace)
+            if trace[-1][0] < args.rmax:
+                print(f"note: D(r) at p = {ps} ends at r = {trace[-1][0]}: from there on max|mu|^r "
+                      "falls below the normal float range", file=sys.stderr)
+            rows.extend((ps, r, _fmt(d, args.precision)) for r, d in trace)
     else:
         if args.budget < 1:
             raise UsageError("--budget must be >= 1")
@@ -219,7 +223,8 @@ def _cmd_evolve(args) -> int:
             args.n, [float(p) for p in p_list], args.rmax, budget=args.budget, seed=args.seed
         )
         for p in p_list:
-            rows.extend((_prob_str(p), r, _fmt(d, args.precision)) for r, d in traces[float(p)])
+            ps = _prob_str(p)
+            rows.extend((ps, r, _fmt(d, args.precision)) for r, d in traces[float(p)])
     _write_rows(rows, ["p", "r", "distance"], args.format, args.out)
     return EXIT_OK
 

@@ -69,6 +69,25 @@ def dense_power_distances(step: np.ndarray, limit: np.ndarray, r_max: int) -> li
     return [float(np.linalg.norm(np.linalg.matrix_power(step, r) - limit)) for r in range(r_max + 1)]
 
 
+def link_sum_moments(n: int, w_id: float = 0.0, c: float = 1.0) -> tuple[float, float]:
+    """Trace and squared Frobenius norm of w_id Id + c * (sum of all link permutations).
+
+    Built from the sparse CNOT actions alone: every nonzero entry is summed
+    over the links that put it there; no matrix and no eigensolver.
+    """
+    from randqnet.channels import _cnot_index_action
+    from randqnet.digraph import arc_pairs
+
+    dim = 4 ** n
+    perms, signs = zip(*(_cnot_index_action(n, u, v) for u, v in arc_pairs(n)))
+    rows = np.concatenate([np.arange(dim), *perms])
+    cols = np.tile(np.arange(dim), len(perms) + 1)
+    vals = np.concatenate([np.full(dim, float(w_id)), *(c * s for s in signs)])
+    keys, inverse = np.unique(rows * dim + cols, return_inverse=True)
+    entries = np.bincount(inverse, weights=vals)
+    return float(entries[keys // dim == keys % dim].sum()), float((entries ** 2).sum())
+
+
 def _index_words(n: int):
     for a in range(4 ** n):
         word = []

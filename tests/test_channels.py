@@ -1,7 +1,9 @@
 """CNOT conjugation, transfer matrices, and asymptotic channel behavior."""
 
 import itertools
+import sys
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +35,7 @@ from conftest import (
     dense_power_distances,
     is_strongly_connected,
     kron_pauli,
+    link_sum_moments,
     pauli_coeffs,
     ptm_of_unitary,
 )
@@ -349,7 +352,7 @@ def test_every_cnot_maps_each_word_block_onto_itself(n):
             assert np.array_equal(np.sort(perm[idx]), idx)
 
 
-@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
 @pytest.mark.parametrize("p", (0.2, 0.5, 0.9))
 def test_blocked_dynamic_spectrum_matches_dense(n, p):
     # the p-independent link spectrum, shifted and scaled for p, is the
@@ -369,6 +372,62 @@ def test_dynamic_spectrum_builds_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < (4 ** 5) ** 2 * 8
+
+
+def test_sector_spectrum_at_n7_stays_below_a_class_block():
+    # one dense class block at n = 7 (8128 words) would be 528 MB; the
+    # largest sector matrix is 1010 words
+    tracemalloc.start()
+    try:
+        ch._link_spectrum.__wrapped__(7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
+def test_link_spectrum_moments_match_the_sparse_action(n):
+    # the dropped eigenvalues are n(n-1), one per word class: five in all
+    spectrum = ch._link_spectrum(n)
+    n_arcs = n * (n - 1)
+    trace, frob2 = link_sum_moments(n)
+    assert len(spectrum) == 4 ** n - 5
+    assert spectrum.sum() == pytest.approx(trace - 5 * n_arcs, rel=1e-12, abs=1e-10 * 4 ** n)
+    assert (spectrum ** 2).sum() == pytest.approx(frob2 - 5 * n_arcs ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
+def test_sector_dimensions_match_the_character_formula(n):
+    idxs, pos = ch._word_blocks(n)
+    for k, words in enumerate(idxs):
+        order = 1 << (n // 2 + (k >= 3))
+        formula = [ch._sector_dim(n, k, chi) for chi in range(order)]
+        built = {chi: len(A) for chi, A in ch._link_sectors(n, words, pos, k)}
+        assert sum(formula) == len(words)
+        assert built == {chi: d for chi, d in enumerate(formula) if d}
+
+
+@pytest.mark.parametrize("n, largest", ((4, 25), (5, 100), (6, 257), (7, 1010), (8, 2551), (9, 10094)))
+def test_largest_sector(n, largest):
+    assert ch._largest_sector(n) == largest
+    K = 2 ** n - 1
+    for k, size in enumerate((1, K, K, K * (2 ** (n - 1) - 1), K * 2 ** (n - 1))):
+        assert sum(ch._sector_dim(n, k, chi) for chi in range(1 << (n // 2 + (k >= 3)))) == size
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_sector_generators_commute_with_the_link_sum(n):
+    blocks = ch._word_blocks(n)
+    idxs, pos = blocks
+    views = ch._block_views(ch._link_sums(n, np.ones(n * (n - 1)), 0.0, blocks), blocks)
+    for k, (words, (A,)) in enumerate(zip(idxs, views)):
+        for bit in range(n // 2 + (k >= 3)):
+            image = ch._group_image(words, 1 << bit, n)
+            assert np.array_equal(np.sort(image), words)  # a permutation of the class
+            P = np.zeros_like(A)
+            P[pos[image], np.arange(len(words))] = 1.0
+            assert np.array_equal(P @ A, A @ P)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
@@ -662,6 +721,29 @@ def test_dynamic_trace_matches_dense_stepping():
         dense = dense_power_distances(averaged_channel_ptm(3, p), asymptotic_channel(3), 40)
         assert [r for r, _ in rows] == list(range(41))
         assert max(abs(d - e) for (_, d), e in zip(rows, dense)) <= 1e-12
+
+
+def test_dynamic_trace_below_the_float_range_of_its_square():
+    # D(r)^2 leaves the normal float range near r = 640 at n = 3, p = 0.95;
+    # every D(r) must still match a 60-digit sum over the same spectrum, and
+    # the trace must end at the last r whose m^r = max|mu|^r is normal
+    w_id, c = ch._average_weights(3, 0.95)
+    mu = w_id + c * ch._link_spectrum(3)
+    m = float(np.abs(mu).max())
+    rows = convergence_trace(3, 0.95, "dynamic", 3000)
+    with localcontext(prec=60):
+        last = int(Decimal(sys.float_info.min).ln() / Decimal(m).ln())
+        assert Decimal(m) ** last >= Decimal(sys.float_info.min) > Decimal(m) ** (last + 1)
+        assert rows[-1][0] == last
+        squares = [Decimal(float(x)) ** 2 for x in mu]
+        powers = list(squares)
+        worst = 0.0
+        for r, dist in rows[1:]:
+            exact = sum(powers).sqrt()
+            worst = max(worst, float(abs(Decimal(dist) - exact) / exact))
+            powers = [a * b for a, b in zip(powers, squares)]
+    assert worst < 1e-11
+    assert format(dict(rows)[1200], ".6g") == "3.82034e-160"
 
 
 def test_convergence_trace_static_r1_matches_dynamic_r1():

@@ -12,8 +12,9 @@ import pytest
 
 from randqnet import (asymptotic_state, index_to_word, prob_strongly_connected, state_mixed, state_plus,
                       state_zero)
+from randqnet.channels import _average_weights
 from randqnet.cli import EXIT_COST, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from conftest import dense_cnot, ptm_of_unitary
+from conftest import dense_cnot, link_sum_moments, ptm_of_unitary
 
 
 def run_cli(capsys, *argv):
@@ -293,6 +294,42 @@ def test_evolve_static_r1_equals_dynamic_r1(capsys):
 def test_evolve_cost_guard(capsys):
     code, _, _ = run_cli(capsys, "evolve", "dynamic", "--n", "9", "--rmax", "1")
     assert code == EXIT_COST
+
+
+def test_evolve_dynamic_refusal_names_the_largest_sector(capsys):
+    code, out, err = run_cli(capsys, "evolve", "dynamic", "--n", "9", "--rmax", "1")
+    assert code == EXIT_COST and out == ""
+    assert "n=9" in err and "10094 words" in err
+
+
+def test_evolve_static_n7_is_refused(capsys):
+    code, _, err = run_cli(capsys, "evolve", "static", "--n", "7", "--rmax", "1", "--budget", "1")
+    assert code == EXIT_COST
+    assert "refused" in err
+
+
+def test_evolve_dynamic_n7_first_step_matches_the_sparse_action(capsys):
+    # S L = L and tr L = 5 give D(1)^2 = ||S||_F^2 - 5, with S = w_id Id + c A
+    # summed entry by entry from the link permutations
+    code, out, _ = run_cli(capsys, "evolve", "dynamic", "--n", "7", "--rmax", "2", "--p-list", "0.5",
+                           "--precision", "17")
+    assert code == EXIT_OK
+    rows = parse_csv(out)
+    assert [row["r"] for row in rows] == ["0", "1", "2"]
+    w_id, c = _average_weights(7, 0.5)
+    _, frob2 = link_sum_moments(7, w_id, c)
+    assert float(rows[1]["distance"]) ** 2 == pytest.approx(frob2 - 5, rel=1e-12)
+
+
+def test_evolve_dynamic_prints_distances_below_the_square_range(capsys):
+    # D(r)^2 is subnormal from r near 640 at n = 3, p = 0.95; the trace ends
+    # with one note where max|mu|^r would be, after r = 2308
+    code, out, err = run_cli(capsys, "evolve", "dynamic", "--n", "3", "--p-list", "0.95", "--rmax", "3000")
+    assert code == EXIT_OK
+    rows = {int(row["r"]): row["distance"] for row in parse_csv(out)}
+    assert rows[1200] == "3.82034e-160"
+    assert max(rows) == 2308 and float(rows[2308]) > 2.2e-308
+    assert err.count("note:") == 1 and "r = 2308" in err
 
 
 def test_evolve_static_default_n5_is_refused(capsys):
