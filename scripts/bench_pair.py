@@ -21,12 +21,14 @@ and every run.
 
 After the pairs, the tier-1 test suite runs once in each tree, parent
 first, with ``--durations=15``; the record keeps each side's wall time,
-exit code, summary line and 15 slowest test phases.
+exit code, summary line and 15 slowest test phases. The record also
+keeps each tree's ``src/**/*.py`` line count.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -62,6 +64,15 @@ def tier1(root: str) -> dict:
                for m in (re.match(r"([0-9.]+)s (setup|call|teardown) +(\S+)", line) for line in lines) if m]
     return {"wall_s": round(wall, 1), "exit": proc.returncode, "summary": lines[-1] if lines else "",
             "slowest": slowest}
+
+
+def src_lines(root: str) -> int:
+    """Lines in the ``src/**/*.py`` files of the tree at ``root``."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "**", "*.py"), recursive=True):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -147,6 +158,7 @@ def main() -> int:
                    f"--seed {args.seed} --seconds {args.seconds:g} --trace 0",
         "how": "alternating parent/change runs, each in its own tree, one at a time; each value "
                "is the median over the passes of one run (scripts/bench_pair.py)",
+        "src_lines": {side: src_lines(root) for side, root in roots.items()},
         "environment": {"nproc": os.cpu_count(), "python": platform.python_version(),
                         "numpy": numpy.__version__, "platform": platform.platform()},
         "workloads": {},

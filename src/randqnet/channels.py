@@ -15,21 +15,22 @@ r[0] = 1/2^n encodes unit trace and trace preservation of a channel is
 exactly "row 0 equals the unit vector e_0".
 
 A CNOT maps the word (x, z) by x_t ^= x_c and z_c ^= z_t, so it keeps five
-word classes (``_word_blocks``): the identity, the other {I,Z} words, the
+word classes (``_word_classes``): the identity, the other {I,Z} words, the
 other {I,X} words, and the remaining words with an even and with an odd
 number of Y letters, of sizes 1, 2^n - 1, 2^n - 1, (2^n - 1)(2^(n-1) - 1)
-and (2^n - 1) 2^(n-1). Every transfer matrix here is block-diagonal over
-them. ``_link_sums`` builds the link sums of many weightings at once, each
-as one row of the flat block space (the blocks laid end to end); the
-public builders return dense matrices, and the evolution paths never form
-a 4^n x 4^n array.
+and (2^n - 1) 2^(n-1) (``_class_sizes``). Every transfer matrix here is
+block-diagonal over them. ``_link_sums`` builds the link sums of many
+weightings at once, each as one row of the flat block space (the blocks
+laid end to end); only the public builders form a 4^n x 4^n matrix
+(``_dense``), and refuse it from n = 7 on.
 
 Every strongly connected network drives a state to one limit L, the
 orthogonal projector onto the five operators every CNOT fixes.
-``_fixed_basis`` gives them as five orthogonal integer Pauli vectors, the
-only description of L, one in each word class: the dense map
-(``asymptotic_channel``), the O(4^n) state map (``asymptotic_state``) and
-the rank-1 block terms of the evolution paths are built from it.
+``_fixed_basis`` gives them as five integer Pauli vectors, the only
+description of L: b_k is (-1)^floor(#Y/2) on word class k and 0
+elsewhere, so a word class is the support of its fixed vector. The dense
+map, the O(4^n) state map (``asymptotic_state``) and the rank-1 block
+terms of the evolution paths (``_flat_limit``) are built from it.
 
 A dynamic network redraws its graph every step, so its r-th iterate is the
 r-th power S^r of the graph-averaged channel S; since S^r - L = (S - L)^r,
@@ -44,8 +45,9 @@ average of the per-graph powers M_g^r, held per block for all graphs in
 one array: exact, from one representative per class of graphs up to
 relabeling and reversal, up to ``STATIC_EXHAUSTIVE_MAX_N`` qubits, and
 over seeded graph draws above.
-``_static_ensembles`` is the one place that picks between the two, and
-the ensemble's block bytes are held to ``MEMORY_BUDGET_BYTES``.
+``_static_ensembles`` is the one place that picks between the two; it
+refuses before any draw when one graph's blocks (``_static_graph_bytes``)
+exceed ``MEMORY_BUDGET_BYTES``, and the ensemble when all its graphs do.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .digraph import (MEMORY_BUDGET_BYTES, CostGuardError, DirectedGraph, Prob, arc_index, arc_pairs,
-                      sample_arc_bits)
+                      closed_prob, sample_arc_bits)
 
 __all__ = [
     "PAULI_LETTERS",
@@ -224,6 +226,19 @@ def _link_sums(n: int, W, w_id, blocks) -> np.ndarray:
     return flat
 
 
+def _dense(n: int, row) -> np.ndarray:
+    """Dense 4^n x 4^n matrix of the flat block-space row ``row(_word_blocks(n))``.
+
+    Refused at entry, before any 4^n table, where it would exceed
+    ``MEMORY_BUDGET_BYTES`` (n >= 7).
+    """
+    if 8 * 16 ** n > MEMORY_BUDGET_BYTES:
+        raise CostGuardError(f"dense {4 ** n} x {4 ** n} transfer matrix at n={n} needs "
+                             f"~{8 * 16 ** n / 1e9:.1f} GB, over the {MEMORY_BUDGET_BYTES / 1e9:.0f} GB guard")
+    blocks = _word_blocks(n)
+    return _from_blocks(row(blocks), blocks)
+
+
 def channel_ptm(spec: ChannelSpec) -> np.ndarray:
     """Transfer matrix of the random-unitary channel sum_l q_l U_l rho U_l^dagger.
 
@@ -232,8 +247,7 @@ def channel_ptm(spec: ChannelSpec) -> np.ndarray:
     """
     n = spec.graph.n
     W = [spec.weights.get(arc, 0.0) for arc in arc_pairs(n)]
-    blocks = _word_blocks(n)
-    return _from_blocks(_link_sums(n, W, 0.0, blocks)[0], blocks)
+    return _dense(n, lambda blocks: _link_sums(n, W, 0.0, blocks)[0])
 
 
 def _average_weights(n: int, p: Prob) -> tuple[float, float]:
@@ -260,40 +274,40 @@ def averaged_channel_ptm(n: int, p: Prob) -> np.ndarray:
     c = (1 - w_id) / (n(n-1)).
     """
     w_id, c = _average_weights(n, p)
-    blocks = _word_blocks(n)
-    return _from_blocks(_link_sums(n, np.full(n * (n - 1), c), w_id, blocks)[0], blocks)
+    return _dense(n, lambda blocks: _link_sums(n, np.full(n * (n - 1), c), w_id, blocks)[0])
 
 
-def _pauli_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-index bit masks: X-type bits, Z-type bits, and the Y-letter count."""
-    idx = np.arange(4 ** n)
-    xmask = np.zeros(4 ** n, dtype=np.int64)
-    zmask = np.zeros(4 ** n, dtype=np.int64)
-    ny = np.zeros(4 ** n, dtype=np.int64)
-    for q in range(n):
-        d = (idx >> (2 * q)) & 3
-        xmask |= ((d == _X) | (d == _Y)) << q
-        zmask |= ((d == _Z) | (d == _Y)) << q
-        ny += d == _Y
-    return xmask, zmask, ny
-
-
-def _word_blocks(n: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Index arrays of the five CNOT-invariant word classes, and each word's position in its class.
+def _word_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class label 0..4 of every Pauli word, and its sign (-1)^floor(#Y/2) in its class's fixed vector.
 
     A CNOT maps the Pauli word (x, z) by x_t ^= x_c and z_c ^= z_t, so it
     keeps x = 0, z = 0 and the parity of the number of Y letters. The
     classes are the identity word; the {I,Z} words and the {I,X} words
     without it; the other words with an even number of Y letters; and the
-    words with an odd number. Every transfer matrix in this module is
-    block-diagonal over them, and basis vector k of ``_fixed_basis`` lies
-    in class k.
+    words with an odd number.
     """
-    xm, zm, ny = _pauli_masks(n)
+    a, low = np.arange(4 ** n), (4 ** n - 1) // 3  # low: the low bit of every base-4 digit
+    x, z = (a ^ a >> 1) & low, a >> 1 & low  # X- and Z-bits, as a letter is (x ^ z) + 2z
+    ny = np.bitwise_count(x & z)
     label = np.where(ny % 2 == 1, 4, 3)
-    label[zm == 0] = 2
-    label[xm == 0] = 1
+    label[z == 0] = 2
+    label[x == 0] = 1
     label[0] = 0
+    return label, np.where(ny & 2, -1, 1)
+
+
+def _class_sizes(n: int) -> tuple[int, ...]:
+    """Words in each class, ``_class_counts`` of all 4^n words: 1, K, K, K(K-1)/2 and 2^(n-1) K for K = 2^n - 1."""
+    return _class_counts(*(a ** n for a in _QUBIT_FIXED[0]))
+
+
+def _word_blocks(n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Index arrays of the five word classes (``_word_classes``), and each word's position in its class.
+
+    Every transfer matrix in this module is block-diagonal over them, and
+    class k is the support of basis vector k of ``_fixed_basis``.
+    """
+    label, _ = _word_classes(n)
     idxs = [np.flatnonzero(label == k) for k in range(5)]
     pos = np.empty(4 ** n, dtype=np.int64)
     for idx in idxs:
@@ -304,38 +318,18 @@ def _word_blocks(n: int) -> tuple[list[np.ndarray], np.ndarray]:
 def _fixed_basis(n: int) -> tuple[np.ndarray, list[int]]:
     """Orthogonal integer Pauli vectors spanning the operators every CNOT fixes, and |b_k|^2.
 
-    The fixed operators I, |0..0><0..0|, |+..+><+..+| and the two coherences
-    between |0..0> and |+..+> give the rows e_0; the {I,Z}-word and the
-    {I,X}-word indicators minus e_0; Re i^(#Y letters) minus those three;
-    and Im i^(#Y letters). The squared norms are 1, 2^n - 1, 2^n - 1,
-    (2^n - 1)(2^n - 2)/2 and 2^(n-1)(2^n - 1).
+    b_k holds each word's sign (``_word_classes``) on word class k and 0
+    elsewhere, so |b_k|^2 is the size of class k. The fixed operators I,
+    |0..0><0..0|, |+..+><+..+| and the two coherences between |0..0> and
+    |+..+> give e_0; the {I,Z}-word and the {I,X}-word indicators minus
+    e_0; Re i^(#Y letters) minus those three; and Im i^(#Y letters).
     """
     if n < 2:
         raise ValueError("the asymptotic map needs n >= 2 (no CNOT exists on one qubit)")
-    xm, zm, ny = _pauli_masks(n)
+    label, sign = _word_classes(n)
     B = np.zeros((5, 4 ** n), dtype=np.int64)
-    B[0, 0] = 1
-    B[1] = xm == 0
-    B[2] = zm == 0
-    B[1:3, 0] = 0
-    B[3] = np.array([1, 0, -1, 0])[ny % 4] - B[:3].sum(axis=0)
-    B[4] = np.array([0, 1, 0, -1])[ny % 4]
-    gram = B @ B.T
-    norms = np.diag(gram)
-    if np.any(gram != np.diag(norms)):
-        raise RuntimeError("fixed-space basis must be orthogonal")
-    return B, [int(s) for s in norms]
-
-
-def _asymptotic_numerator(n: int) -> tuple[np.ndarray, int]:
-    """Integer matrix N = B^T diag(D / |b_k|^2) B and D = lcm |b_k|^2, so the map is N / D.
-
-    The projector sum_k b_k b_k^T / |b_k|^2 is exact over one denominator;
-    rounding happens once, on division.
-    """
-    B, norms = _fixed_basis(n)
-    D = math.lcm(*norms)
-    return (B.T * np.array([D // s for s in norms])) @ B, D
+    B[label, np.arange(4 ** n)] = sign
+    return B, np.bincount(label, minlength=5).tolist()
 
 
 def asymptotic_channel(n: int) -> np.ndarray:
@@ -344,18 +338,20 @@ def asymptotic_channel(n: int) -> np.ndarray:
     Implements rho -> P rho P + Tr((I-P) rho)/(2^n - 2) (I-P) with P the
     projector onto span{|0...0>, |+...+>}: the orthogonal projector onto
     the operators every CNOT fixes, one map per n, independent of the graph
-    and of the link weights. Trace-preserving and idempotent.
+    and of the link weights. Trace-preserving and idempotent. Each entry,
+    +-1/|b_k|^2 or 0 (``_flat_limit``), is the float of the exact one.
     """
-    numer, denom = _asymptotic_numerator(n)
-    return numer / denom
+    return _dense(n, lambda blocks: _flat_limit(n, blocks)[0])
 
 
 def asymptotic_channel_exact(n: int) -> list[list[Fraction]]:
-    """Exact rational entries of the asymptotic transfer matrix (n <= 4)."""
+    """Exact rational entries of the asymptotic transfer matrix (n <= 4), over D = lcm |b_k|^2."""
     if n > EXACT_CHANNEL_MAX_N:
         raise CostGuardError(f"exact asymptotic map refused for n={n} (max {EXACT_CHANNEL_MAX_N})")
-    numer, denom = _asymptotic_numerator(n)
-    return [[Fraction(int(x), denom) for x in row] for row in numer]
+    B, norms = _fixed_basis(n)
+    D = math.lcm(*norms)
+    numer = (B.T * np.array([D // s for s in norms])) @ B
+    return [[Fraction(int(x), D) for x in row] for row in numer]
 
 
 def asymptotic_state(n: int, rho: np.ndarray) -> np.ndarray:
@@ -534,8 +530,7 @@ class _StaticEnsemble:
     """
 
     def __init__(self, n: int, masks: list[int], weights: dict, symmetrize: bool):
-        self.blocks = _word_blocks(n)
-        per_graph = 3 * 8 * sum(len(idx) ** 2 for idx in self.blocks[0])  # bases, powers and buffer
+        per_graph = _static_graph_bytes(n)
         if len(masks) * per_graph > MEMORY_BUDGET_BYTES:
             raise CostGuardError(
                 f"static ensemble of {len(masks)} distinct graphs at n={n} needs "
@@ -543,6 +538,7 @@ class _StaticEnsemble:
                 f"{MEMORY_BUDGET_BYTES // per_graph} distinct graphs fit under the "
                 f"{MEMORY_BUDGET_BYTES / 1e9:.0f} GB guard, and --budget caps the number drawn"
             )
+        self.blocks = _word_blocks(n)
         self.p_list = list(weights)
         self.W = np.array([weights[p] for p in self.p_list])
         self.bases = _link_sums(n, *_uniform_weights(n, masks), self.blocks)
@@ -586,6 +582,11 @@ class _StaticEnsemble:
         return np.sqrt((diff * diff * self._orbit_size).sum(axis=1))
 
 
+def _static_graph_bytes(n: int) -> int:
+    """Bytes one graph holds in a ``_StaticEnsemble``: its bases, powers and buffer, one float per block entry."""
+    return 3 * 8 * sum(m * m for m in _class_sizes(n))
+
+
 def _static_ensembles(n: int, p_list: list[float], mode: str | None, budget: int, seed: int):
     """Ensembles whose averages give the static iterate at every p in ``p_list``.
 
@@ -593,34 +594,35 @@ def _static_ensembles(n: int, p_list: list[float], mode: str | None, budget: int
     qubits and ``"sampled"`` above. ``exhaustive`` weighs the classes up
     to relabeling and reversal by p^|E| (1-p)^(n(n-1)-|E|) (arcless graphs
     apply the identity), one ensemble for all p; ``sampled`` weighs
-    ``budget`` seeded draws equally, one ensemble per p. ``p``, ``n`` and
-    ``mode`` are checked at once; the result is an iterator that builds each
-    ensemble only when the caller asks for the next.
+    ``budget`` seeded draws equally, one ensemble per p. ``p``, ``n``,
+    ``mode`` and one graph's bytes are checked at once; the result is an
+    iterator that builds each ensemble only when the caller asks for the next.
     """
-    if not all(0 <= p <= 1 for p in p_list):
-        raise ValueError("p must lie in [0, 1]")
+    for p in p_list:
+        closed_prob(p)
     if mode is None:
         mode = "exhaustive" if n <= STATIC_EXHAUSTIVE_MAX_N else "sampled"
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exhaustive" and n > STATIC_EXHAUSTIVE_MAX_N:
+        raise CostGuardError(f"exhaustive static average refused for n={n} (max {STATIC_EXHAUSTIVE_MAX_N})")
+    per_graph = _static_graph_bytes(n)
+    if per_graph > MEMORY_BUDGET_BYTES:
+        raise CostGuardError(f"static ensemble at n={n} needs ~{per_graph / 1e9:.1f} GB per graph, over "
+                             f"the {MEMORY_BUDGET_BYTES / 1e9:.0f} GB guard")
     if mode == "exhaustive":
-        if n > STATIC_EXHAUSTIVE_MAX_N:
-            raise CostGuardError(
-                f"exhaustive static average refused for n={n} (max {STATIC_EXHAUSTIVE_MAX_N})"
-            )
-
         def build():
             classes = _iso_classes(n)
             masks = [m for m, _ in classes]
             orbit = np.array([o for _, o in classes], dtype=float)
             weights = {p: _graph_weights(n, p, masks) * orbit / (2 * math.factorial(n)) for p in p_list}
             yield _StaticEnsemble(n, masks, weights, symmetrize=True)
-    elif mode == "sampled":
+    else:
         def build():
             for p in dict.fromkeys(p_list):
                 bits = sample_arc_bits(n, p, budget, np.random.SeedSequence(seed))
                 masks, counts = np.unique(bits @ (1 << np.arange(n * (n - 1))), return_counts=True)
                 yield _StaticEnsemble(n, masks, {p: counts / budget}, symmetrize=False)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return build()
 
 
@@ -643,11 +645,12 @@ def static_average_iterate(
     (n <= 4; arcless graphs contribute the identity); ``sampled`` averages
     over ``budget`` seeded graph draws with equal weights; ``None`` picks
     exhaustive where it is allowed. The blocks are scattered into one dense
-    4^n x 4^n matrix.
+    4^n x 4^n matrix. From n = 4 on one graph's blocks outweigh that
+    matrix, so the check of ``_static_ensembles`` refuses first, from n = 7.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    ensembles = _static_ensembles(n, [float(p)], mode, budget, seed)  # checks n and mode
+    ensembles = _static_ensembles(n, [float(p)], mode, budget, seed)  # checks n, mode and the bytes
     if r == 0:
         return np.eye(4 ** n)  # every graph contributes M^0 = Id
     (ens,) = ensembles
@@ -716,6 +719,12 @@ def _group_image(words: np.ndarray, e: int, n: int) -> np.ndarray:
     return out
 
 
+def _class_counts(ident: int, no_x: int, no_z: int, every: int, y: int) -> tuple[int, ...]:
+    """Words of each class in a set of words, from its five ``_QUBIT_FIXED`` tallies."""
+    odd = (every - y) // 2
+    return ident, no_x - ident, no_z - ident, every - no_x - no_z + ident - odd, odd
+
+
 def _sector_dim(n: int, k: int, chi: int) -> int:
     """Dimension of sector ``chi`` of word class k, |G|^-1 sum_g chi(g) |Fix_k(g)|, without building words.
 
@@ -730,13 +739,9 @@ def _sector_dim(n: int, k: int, chi: int) -> int:
     j = (chi & ((1 << m) - 1)).bit_count()
     total = 0
     for h in (0, 1) if k >= 3 else (0,):
-        ident, no_x, no_z, every, y = (
-            a ** (n - 2 * m) * (a * a + b) ** (m - j) * (a * a - b) ** j
-            for a, b in zip(_QUBIT_FIXED[h], _PAIR_FIXED[h])
-        )
-        odd = (every - y) // 2
-        total += (-1) ** (h & chi >> m) * (ident, no_x - ident, no_z - ident,
-                                           every - no_x - no_z + ident - odd, odd)[k]
+        tallies = (a ** (n - 2 * m) * (a * a + b) ** (m - j) * (a * a - b) ** j
+                   for a, b in zip(_QUBIT_FIXED[h], _PAIR_FIXED[h]))
+        total += (-1) ** (h & chi >> m) * _class_counts(*tallies)[k]
     return total >> (m + (k >= 3))
 
 
@@ -762,13 +767,12 @@ def _link_sectors(n: int, words: np.ndarray, pos: np.ndarray, k: int):
     order = 1 << (n // 2 + (k >= 3))
     images = np.stack([_group_image(words, e, n) for e in range(order)])
     rep = images.min(axis=0)
-    reps, orbit = np.unique(rep, return_inverse=True)
+    reps, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
     g_of = (images == rep).argmax(axis=0)  # g_t, since g r_O = t exactly when g t = r_O
     stab = images[:, pos[reps]] == reps
     e = np.arange(order)
     parity = (np.bitwise_count(e[:, None] & e) & 1).astype(np.int64)  # chi(e) = (-1)^parity[chi, e]
     keep = parity @ stab == 0
-    size = order / stab.sum(axis=0)
     control, target = np.array(arc_pairs(n)).T[:, :, None]
     image, sign = _cnot_images(reps, control, target)  # (arcs, orbits)
     at = pos[image]

@@ -67,11 +67,8 @@ def _parse_prob_list(text: str) -> list[connectivity.Prob]:
 
 
 def _fmt(value, precision: int) -> str:
-    if isinstance(value, Fraction):
-        value = float(value)
-    if isinstance(value, float):
-        return format(value, f".{precision}g")
-    return str(value)
+    """A float or a ``Fraction`` to ``precision`` significant digits."""
+    return format(float(value), f".{precision}g")
 
 
 def _fmt_fixed(value, decimals: int) -> str:
@@ -202,9 +199,6 @@ def _cmd_evolve(args) -> int:
     p_list = _parse_prob_list(args.p_list)
     if args.n < 2:
         raise UsageError("--n must be >= 2")
-    if args.mode == "static" and args.n > 6:
-        raise CostGuardError("static channel iteration refused for n > 6 (at n = 7 the two largest "
-                             "Pauli word blocks hold 8001 and 8128 words)")
     if args.rmax < 0:
         raise UsageError("--rmax must be >= 0")
     rows = []

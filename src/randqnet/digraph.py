@@ -114,6 +114,13 @@ class DirectedGraph:
         return m
 
 
+def closed_prob(p: Prob) -> float:
+    """``p`` as a float, checked to lie in the closed interval [0, 1]."""
+    if not 0.0 <= float(p) <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    return float(p)
+
+
 def sample_arc_bits(n: int, p: Prob, count: int, rng) -> np.ndarray:
     """Arc bits of ``count`` G(n, p) draws: row g says which arc slots graph g holds.
 
@@ -125,9 +132,7 @@ def sample_arc_bits(n: int, p: Prob, count: int, rng) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pf = float(p)
-    if not 0.0 <= pf <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    pf = closed_prob(p)
     return np.random.default_rng(rng).random((count, n * (n - 1))) < pf
 
 
@@ -353,9 +358,7 @@ def estimate_pc_monte_carlo(
         raise ValueError("samples must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    pf = float(p)
-    if not 0.0 <= pf <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    pf = closed_prob(p)
     if n == 1:
         return McEstimate(samples, samples, 1.0, *wilson_interval(samples, samples))
     threshold = round(pf * _MC_P_GRID)
@@ -371,9 +374,6 @@ def estimate_pc_monte_carlo(
         plan.append(samples % chunk)
     workers = min(_mc_workers(workers, len(plan)), MEMORY_BUDGET_BYTES // _plane_bytes(n, plan[0]))
     seeds = np.random.SeedSequence(seed).spawn(len(plan))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(lambda args: _mc_chunk_hits(n, threshold, *args), zip(plan, seeds)))
-    else:
-        hits = sum(_mc_chunk_hits(n, threshold, sz, sq) for sz, sq in zip(plan, seeds))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        hits = sum(pool.map(lambda args: _mc_chunk_hits(n, threshold, *args), zip(plan, seeds)))
     return McEstimate(samples, hits, hits / samples, *wilson_interval(hits, samples))

@@ -42,7 +42,6 @@ from randqnet import (
     static_average_iterate,
     static_convergence_traces,
 )
-from randqnet.channels import _pauli_masks
 from randqnet.digraph import arc_pairs
 from conftest import dense_cnot, kron_pauli
 
@@ -262,8 +261,9 @@ def test_a8_static_convergence_floors():
 
 
 def _exact_state_zero(n):
-    xm, _, _ = _pauli_masks(n)
-    return [Fraction(1, 2 ** n) if x == 0 else Fraction(0) for x in xm]
+    # 2^-n on every word made only of I and Z letters
+    return [Fraction(1, 2 ** n) if set(ch.index_to_word(a, n)) <= {"I", "Z"} else Fraction(0)
+            for a in range(4 ** n)]
 
 
 def _exact_state_mixed(n):

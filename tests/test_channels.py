@@ -336,11 +336,25 @@ def test_word_blocks_partition_the_words_with_closed_form_sizes(n):
     assert np.array_equal(np.sort(np.concatenate(idxs)), np.arange(4 ** n))
     for idx in idxs:
         assert np.array_equal(pos[idx], np.arange(len(idx)))
-    # each fixed-space basis vector lies in exactly one block, vector k in block k
+    # word class k is exactly the support of fixed-space basis vector k
     B, _ = ch._fixed_basis(n)
     for k, b in enumerate(B):
-        support = np.flatnonzero(b)
-        assert [i for i, idx in enumerate(idxs) if np.isin(support, idx).any()] == [k]
+        assert np.array_equal(np.flatnonzero(b), idxs[k])
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_closed_form_class_sizes_match_the_classes_and_the_fixed_norms(n):
+    sizes = ch._class_sizes(n)
+    K = 2 ** n - 1
+    assert sizes == (1, K, K, K * (K - 1) // 2, 2 ** (n - 1) * K)
+    idxs, _ = ch._word_blocks(n)
+    assert [len(idx) for idx in idxs] == list(sizes)
+    B, norms = ch._fixed_basis(n)
+    assert (B * B).sum(axis=1).tolist() == norms == list(sizes)
+    # a static ensemble holds three floats per block entry for each graph,
+    # from n = 4 on more than the dense 4^n x 4^n result of static_average_iterate
+    assert ch._static_graph_bytes(n) == 24 * sum(m * m for m in sizes)
+    assert (ch._static_graph_bytes(n) > 8 * 16 ** n) == (n >= 4)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
@@ -459,10 +473,9 @@ def test_asymptotic_channel_structure(n):
 
 def test_asymptotic_channel_exact_is_idempotent_and_matches_float():
     for n in (2, 3, 4):
-        exact = asymptotic_channel_exact(n)
         M = asymptotic_channel(n)
-        d = 4 ** n
-        assert all(M[a][b] == float(exact[a][b]) for a in range(d) for b in range(d))
+        assert M.dtype == np.float64
+        assert np.array_equal(M, np.array(asymptotic_channel_exact(n), dtype=float))
     exact2 = asymptotic_channel_exact(2)
     prod = [[sum(exact2[a][k] * exact2[k][b] for k in range(16)) for b in range(16)] for a in range(16)]
     assert prod == exact2
@@ -685,6 +698,42 @@ def test_static_trace_matches_the_dense_static_iterate():
 def test_static_average_exhaustive_cost_guard():
     with pytest.raises(CostGuardError):
         static_average_iterate(5, 0.5, 1, mode="exhaustive")
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    return peak
+
+
+def _refused_peak(call, match) -> int:
+    def refused():
+        with pytest.raises(CostGuardError, match=match):
+            call()
+    return _traced_peak(refused)
+
+
+def test_static_refusal_per_graph_comes_before_any_table():
+    # one graph's blocks at n = 11 would need ~210 TB; the refusal builds no
+    # 4^n word table (33 MB each at n = 11) and draws no graph
+    peak = _refused_peak(lambda: static_convergence_traces(11, [0.5], 1, budget=1), r"n=11 .* per graph")
+    assert peak < 10e6
+
+
+@pytest.mark.parametrize("n, dense_gb, graph_gb", ((7, "2.1", "3.1"), (8, "34.4", "50.7")))
+def test_dense_builders_refuse_at_entry(n, dense_gb, graph_gb):
+    # one dense 4^n x 4^n float matrix is 8 * 16^n bytes, over the 2 GB guard
+    # from n = 7; the static iterate is refused on one graph's blocks, which
+    # outweigh its dense result
+    spec = ChannelSpec.uniform(DirectedGraph.complete(n))
+    for call in (lambda: channel_ptm(spec), lambda: averaged_channel_ptm(n, 0.5), lambda: asymptotic_channel(n)):
+        assert _refused_peak(call, rf"n={n} needs ~{dense_gb} GB, over") < 1e6
+    static = _refused_peak(lambda: static_average_iterate(n, 0.5, 1), rf"n={n} needs ~{graph_gb} GB per graph")
+    assert static < 1e6
 
 
 def test_static_paths_check_p():

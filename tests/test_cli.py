@@ -303,9 +303,11 @@ def test_evolve_dynamic_refusal_names_the_largest_sector(capsys):
 
 
 def test_evolve_static_n7_is_refused(capsys):
+    # one graph's blocks (words 1, 127, 127, 8001 and 8128 per class) need
+    # 3 x 8 bytes per entry, over the 2 GB guard whatever --budget says
     code, _, err = run_cli(capsys, "evolve", "static", "--n", "7", "--rmax", "1", "--budget", "1")
     assert code == EXIT_COST
-    assert "refused" in err
+    assert "refused: static ensemble at n=7 needs ~3.1 GB per graph" in err
 
 
 def test_evolve_dynamic_n7_first_step_matches_the_sparse_action(capsys):

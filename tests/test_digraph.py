@@ -309,11 +309,11 @@ def test_mc_memory_guard_admits_n120_with_one_worker(monkeypatch):
     est = estimate_pc_monte_carlo(120, 0.5, 10 ** 6, seed=1)
     assert est.samples == 10 ** 6
     assert chunk_sizes == [1 << 18] * 3 + [10 ** 6 - 3 * (1 << 18)]
-    assert pools == []
+    assert pools == [1]  # one path: a single worker still runs its chunks through a pool
     # three requested workers are clamped to the two whose chunks fit
     monkeypatch.setattr(digraph_module.os, "cpu_count", lambda: 4)
     estimate_pc_monte_carlo(120, 0.5, 10 ** 6, seed=1, workers=3)
-    assert pools == [2]
+    assert pools == [1, 2]
 
 
 def _planes_oracle(seed: int, threshold: int, shape: tuple) -> np.ndarray:
