@@ -233,8 +233,8 @@ def _dense(n: int, row) -> np.ndarray:
     ``MEMORY_BUDGET_BYTES`` (n >= 7).
     """
     if 8 * 16 ** n > MEMORY_BUDGET_BYTES:
-        raise CostGuardError(f"dense {4 ** n} x {4 ** n} transfer matrix at n={n} needs "
-                             f"~{8 * 16 ** n / 1e9:.1f} GB, over the {MEMORY_BUDGET_BYTES / 1e9:.0f} GB guard")
+        raise CostGuardError(f"dense {4 ** n} x {4 ** n} matrix at n={n} needs ~{8 * 16 ** n / 1e9:.1f} GB, "
+                             f"over the {MEMORY_BUDGET_BYTES / 1e9:.0f} GB guard")
     blocks = _word_blocks(n)
     return _from_blocks(row(blocks), blocks)
 
@@ -297,7 +297,7 @@ def _word_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _class_sizes(n: int) -> tuple[int, ...]:
-    """Words in each class, ``_class_counts`` of all 4^n words: 1, K, K, K(K-1)/2 and 2^(n-1) K for K = 2^n - 1."""
+    """Words in each class (``_class_counts`` of all 4^n words): 1, K, K, K(K-1)/2, 2^(n-1) K; K = 2^n - 1."""
     return _class_counts(*(a ** n for a in _QUBIT_FIXED[0]))
 
 
@@ -583,7 +583,7 @@ class _StaticEnsemble:
 
 
 def _static_graph_bytes(n: int) -> int:
-    """Bytes one graph holds in a ``_StaticEnsemble``: its bases, powers and buffer, one float per block entry."""
+    """Bytes of one graph in a ``_StaticEnsemble``: bases, powers and buffer, a float per block entry."""
     return 3 * 8 * sum(m * m for m in _class_sizes(n))
 
 

@@ -700,21 +700,15 @@ def test_static_average_exhaustive_cost_guard():
         static_average_iterate(5, 0.5, 1, mode="exhaustive")
 
 
-def _traced_peak(call) -> int:
+def _refused_peak(call, match) -> int:
+    """Traced peak of ``call``, which must refuse with a ``CostGuardError`` matching ``match``."""
     tracemalloc.start()
     try:
-        call()
-    finally:
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-    return peak
-
-
-def _refused_peak(call, match) -> int:
-    def refused():
         with pytest.raises(CostGuardError, match=match):
             call()
-    return _traced_peak(refused)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_static_refusal_per_graph_comes_before_any_table():
@@ -730,10 +724,11 @@ def test_dense_builders_refuse_at_entry(n, dense_gb, graph_gb):
     # from n = 7; the static iterate is refused on one graph's blocks, which
     # outweigh its dense result
     spec = ChannelSpec.uniform(DirectedGraph.complete(n))
-    for call in (lambda: channel_ptm(spec), lambda: averaged_channel_ptm(n, 0.5), lambda: asymptotic_channel(n)):
+    dense = (lambda: channel_ptm(spec), lambda: averaged_channel_ptm(n, 0.5), lambda: asymptotic_channel(n))
+    for call in dense:
         assert _refused_peak(call, rf"n={n} needs ~{dense_gb} GB, over") < 1e6
-    static = _refused_peak(lambda: static_average_iterate(n, 0.5, 1), rf"n={n} needs ~{graph_gb} GB per graph")
-    assert static < 1e6
+    peak = _refused_peak(lambda: static_average_iterate(n, 0.5, 1), rf"n={n} needs ~{graph_gb} GB per graph")
+    assert peak < 1e6
 
 
 def test_static_paths_check_p():
