@@ -7,8 +7,10 @@ Runs each command of both workloads in ``perfbench/workloads.py`` (taken
 from CHANGE, read only), and every ``--also`` command, as ``python -m
 randqnet.cli ARGS`` from each tree's root with that tree's ``src`` on
 ``PYTHONPATH``, one run at a time. Prints one line per command: the
-sha256 of standard output and the exit code in each tree, and ``same`` or
-``DIFF``. Exits 1 if any command differs.
+sha256 of standard output and standard error and the exit code in each
+tree, and ``same`` or ``DIFF``. A command is ``DIFF`` if anything of that
+differs, or if it exits with a code the CLI does not use (0, 2, 3 and 4),
+as a tree that cannot be imported would. Exits 1 if any command is ``DIFF``.
 """
 
 from __future__ import annotations
@@ -21,12 +23,15 @@ import subprocess
 import sys
 
 
-def run(tree: str, argv: list[str]) -> tuple[str, int]:
-    """sha256 of the standard output and the exit code of one command in ``tree``."""
+CLI_EXIT_CODES = (0, 2, 3, 4)
+
+
+def run(tree: str, argv: list[str]) -> tuple[str, str, int]:
+    """sha256 of the standard output and of the standard error, and the exit code, of one command in ``tree``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     proc = subprocess.run([sys.executable, "-m", "randqnet.cli", *argv], cwd=tree, env=env,
                           capture_output=True)
-    return hashlib.sha256(proc.stdout).hexdigest(), proc.returncode
+    return hashlib.sha256(proc.stdout).hexdigest(), hashlib.sha256(proc.stderr).hexdigest(), proc.returncode
 
 
 def main() -> int:
@@ -36,18 +41,20 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=7, help="workload seed (the Monte Carlo --seed)")
     ap.add_argument("--also", action="append", default=[], help="one more command, quoted")
     args = ap.parse_args()
-    sys.path.insert(0, os.path.join(os.path.abspath(args.change), "perfbench"))
+    # absolute, as each run's cwd is its tree and a relative src path would not resolve from there
+    trees = os.path.abspath(args.parent), os.path.abspath(args.change)
+    sys.path.insert(0, os.path.join(trees[1], "perfbench"))
     import workloads
 
     commands = [list(cmd.argv) for name in workloads.WORKLOADS for cmd in workloads.commands(name, args.seed)]
     commands += [shlex.split(text) for text in args.also]
     differ = 0
     for argv in commands:
-        (h_par, c_par), (h_chg, c_chg) = run(args.parent, argv), run(args.change, argv)
-        same = (h_par, c_par) == (h_chg, c_chg)
+        par, chg = (run(tree, argv) for tree in trees)
+        same = par == chg and par[2] in CLI_EXIT_CODES
         differ += not same
-        print(f"{'same' if same else 'DIFF'}  {h_par[:16]} {c_par}  {h_chg[:16]} {c_chg}  {shlex.join(argv)}",
-              flush=True)
+        print(f"{'same' if same else 'DIFF'}  {par[0][:12]} {par[1][:8]} {par[2]}  "
+              f"{chg[0][:12]} {chg[1][:8]} {chg[2]}  {shlex.join(argv)}", flush=True)
     print(f"{len(commands) - differ} of {len(commands)} commands same")
     return 1 if differ else 0
 

@@ -25,12 +25,12 @@ laid end to end); only the public builders form a 4^n x 4^n matrix
 (``_dense``), and refuse it from n = 7 on.
 
 Every strongly connected network drives a state to one limit L, the
-orthogonal projector onto the five operators every CNOT fixes.
-``_fixed_basis`` gives them as five integer Pauli vectors, the only
-description of L: b_k is (-1)^floor(#Y/2) on word class k and 0
-elsewhere, so a word class is the support of its fixed vector. The dense
-map, the O(4^n) state map (``asymptotic_state``) and the rank-1 block
-terms of the evolution paths (``_flat_limit``) are built from it.
+orthogonal projector onto the Pauli vectors b_k every CNOT fixes: b_k is
+(-1)^floor(#Y/2) on word class k and 0 elsewhere, so |b_k|^2 is the
+class size. These labels, signs and sizes (``_limit_classes``) are the
+only description of L; the exact and dense maps, the O(4^n) state map
+(``asymptotic_state``) and the rank-1 block terms of the evolution paths
+(``_flat_limit``) are built from them.
 
 A dynamic network redraws its graph every step, so its r-th iterate is the
 r-th power S^r of the graph-averaged channel S; since S^r - L = (S - L)^r,
@@ -250,10 +250,15 @@ def channel_ptm(spec: ChannelSpec) -> np.ndarray:
     return _dense(n, lambda blocks: _link_sums(n, W, 0.0, blocks)[0])
 
 
+def _check_qubits(n: int) -> None:
+    """The one check of every channel entry point: a CNOT needs two qubits."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2 (a CNOT needs two qubits), got {n}")
+
+
 def _average_weights(n: int, p: Prob) -> tuple[float, float]:
     """w_id and c of the graph-averaged channel S = w_id * Id + c * sum of all P_uv."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _check_qubits(n)
     if not 0 < float(p) < 1:
         raise ValueError("p must lie strictly in (0, 1)")
     n_arcs = n * (n - 1)
@@ -305,7 +310,7 @@ def _word_blocks(n: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Index arrays of the five word classes (``_word_classes``), and each word's position in its class.
 
     Every transfer matrix in this module is block-diagonal over them, and
-    class k is the support of basis vector k of ``_fixed_basis``.
+    class k is the support of the limit's fixed vector b_k.
     """
     label, _ = _word_classes(n)
     idxs = [np.flatnonzero(label == k) for k in range(5)]
@@ -315,21 +320,17 @@ def _word_blocks(n: int) -> tuple[list[np.ndarray], np.ndarray]:
     return idxs, pos
 
 
-def _fixed_basis(n: int) -> tuple[np.ndarray, list[int]]:
-    """Orthogonal integer Pauli vectors spanning the operators every CNOT fixes, and |b_k|^2.
+def _limit_classes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The limit L: each word's class label and sign (``_word_classes``), and |b_k|^2 (``_class_sizes``).
 
-    b_k holds each word's sign (``_word_classes``) on word class k and 0
-    elsewhere, so |b_k|^2 is the size of class k. The fixed operators I,
-    |0..0><0..0|, |+..+><+..+| and the two coherences between |0..0> and
-    |+..+> give e_0; the {I,Z}-word and the {I,X}-word indicators minus
+    The orthogonal vectors b_k span the operators every CNOT fixes: b_k is
+    each word's sign on word class k and 0 elsewhere. The fixed operators
+    I, |0..0><0..0|, |+..+><+..+| and the two coherences between |0..0>
+    and |+..+> give e_0; the {I,Z}-word and the {I,X}-word indicators minus
     e_0; Re i^(#Y letters) minus those three; and Im i^(#Y letters).
     """
-    if n < 2:
-        raise ValueError("the asymptotic map needs n >= 2 (no CNOT exists on one qubit)")
-    label, sign = _word_classes(n)
-    B = np.zeros((5, 4 ** n), dtype=np.int64)
-    B[label, np.arange(4 ** n)] = sign
-    return B, np.bincount(label, minlength=5).tolist()
+    _check_qubits(n)
+    return (*_word_classes(n), np.array(_class_sizes(n)))
 
 
 def asymptotic_channel(n: int) -> np.ndarray:
@@ -345,22 +346,25 @@ def asymptotic_channel(n: int) -> np.ndarray:
 
 
 def asymptotic_channel_exact(n: int) -> list[list[Fraction]]:
-    """Exact rational entries of the asymptotic transfer matrix (n <= 4), over D = lcm |b_k|^2."""
+    """Exact rational entries of the asymptotic transfer matrix (n <= 4): sign_a sign_b / |b_k|^2 on class k."""
     if n > EXACT_CHANNEL_MAX_N:
         raise CostGuardError(f"exact asymptotic map refused for n={n} (max {EXACT_CHANNEL_MAX_N})")
-    B, norms = _fixed_basis(n)
-    D = math.lcm(*norms)
-    numer = (B.T * np.array([D // s for s in norms])) @ B
-    return [[Fraction(int(x), D) for x in row] for row in numer]
+    label, sign, sizes = (x.tolist() for x in _limit_classes(n))
+    zero = Fraction(0)
+    return [[Fraction(sa * sb, sizes[ka]) if ka == kb else zero for kb, sb in zip(label, sign)]
+            for ka, sa in zip(label, sign)]
 
 
 def asymptotic_state(n: int, rho: np.ndarray) -> np.ndarray:
     """Image of the coefficient vector ``rho`` under the asymptotic map, in O(4^n).
 
-    Sums b_k (b_k . rho) / |b_k|^2 over the fixed basis; no 4^n x 4^n map is formed.
+    Sums b_k (b_k . rho) / |b_k|^2 over the five classes with one
+    ``bincount``; no 4^n x 4^n map and no 5 x 4^n basis is formed. A zero
+    coefficient is +0.0, whatever its word's sign.
     """
-    B, norms = _fixed_basis(n)
-    return (B @ rho / norms) @ B
+    label, sign, sizes = _limit_classes(n)
+    coef = np.bincount(label, weights=sign * rho, minlength=5) / sizes
+    return coef[label] * sign + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def hs_distance(m1: np.ndarray, m2: np.ndarray) -> float:
@@ -421,10 +425,10 @@ def _from_blocks(flat: np.ndarray, blocks) -> np.ndarray:
 
 def _flat_limit(n: int, blocks) -> np.ndarray:
     """The limit L in the flat block space, one row: b_k b_k^T / |b_k|^2 in block k."""
-    B, norms = _fixed_basis(n)
+    _, sign, sizes = _limit_classes(n)
     flat = np.empty((1, sum(len(idx) ** 2 for idx in blocks[0])))
-    for k, (idx, (block,)) in enumerate(zip(blocks[0], _block_views(flat, blocks))):
-        block[:] = np.outer(B[k, idx], B[k, idx]) / norms[k]
+    for idx, size, (block,) in zip(blocks[0], sizes, _block_views(flat, blocks)):
+        block[:] = np.outer(sign[idx], sign[idx]) / size
     return flat
 
 
@@ -462,7 +466,7 @@ def _iso_classes(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _relabel_orbits(n: int, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit label of every flat block-space entry under ``_symmetries``, and 2 n!/|orbit|.
+    """Orbit label of every flat block-space entry under ``_symmetries``, and each orbit's size.
 
     Each word map keeps the word classes or swaps the {I,Z} and {I,X}
     classes, which have one size, so moving a block-diagonal matrix by it is
@@ -477,31 +481,8 @@ def _relabel_orbits(n: int, blocks) -> tuple[np.ndarray, np.ndarray]:
     for _, image in _symmetries(n):
         gather = rows[image][entry_row] + pos[image][entry_col]
         least = gather if least is None else np.minimum(least, gather, out=least)
-    _, orbit, count = np.unique(least, return_inverse=True, return_counts=True)
-    return orbit, 2 * math.factorial(n) / count
-
-
-def _orbit_labels(orbits, rows: int) -> np.ndarray:
-    """Label of every entry of a (rows, flat) array, raveled: o + i * (number of orbits) in row i on orbit o.
-
-    One ``bincount`` over these labels sums every row over every orbit, each
-    sum adding its entries in flat order, as a per-row ``bincount`` would.
-    """
-    return (orbits[0] + len(orbits[1]) * np.arange(rows)[:, None]).ravel()
-
-
-def _orbit_sums(A: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Sum of each flat row of A over each orbit, (rows, orbits), given ``_orbit_labels(orbits, len(A))``."""
-    return np.bincount(labels, weights=A.ravel()).reshape(len(A), -1)
-
-
-def _symmetrize(A: np.ndarray, orbits) -> np.ndarray:
-    """Sum of g B g^T over the 2 n! relabelings and Hadamard conjugations g, for each flat row B of A.
-
-    That sum is 2 n!/|orbit| times the sum of B over each entry's orbit.
-    """
-    orbit, scale = orbits
-    return (_orbit_sums(A, _orbit_labels(orbits, len(A))) * scale)[:, orbit]
+    _, orbit, size = np.unique(least, return_inverse=True, return_counts=True)
+    return orbit, size
 
 
 def _graph_weights(n: int, p: float, masks) -> np.ndarray:
@@ -546,14 +527,15 @@ class _StaticEnsemble:
         self._buf = np.empty_like(self.powers)
         self._views = [_block_views(a, self.blocks) for a in (self.powers, self.bases, self._buf)]
         self.limit = _flat_limit(n, self.blocks)
-        self.orbits = _relabel_orbits(n, self.blocks) if symmetrize else None
+        self.orbit = None
         if symmetrize:
-            orbit = self.orbits[0]
-            self._labels = _orbit_labels(self.orbits, len(self.W))
-            self._orbit_size = np.bincount(orbit)
+            self.orbit, self._orbit_size = _relabel_orbits(n, self.blocks)
+            # o + i * (number of orbits) on row i's entries of orbit o
+            self._labels = (self.orbit + len(self._orbit_size) * np.arange(len(self.W))[:, None]).ravel()
+            self._scale = 2 * math.factorial(n) / self._orbit_size
             self._orbit_limit = np.empty(len(self._orbit_size))
-            self._orbit_limit[orbit] = self.limit[0]
-            if not np.array_equal(self._orbit_limit[orbit], self.limit[0]):
+            self._orbit_limit[self.orbit] = self.limit[0]
+            if not np.array_equal(self._orbit_limit[self.orbit], self.limit[0]):
                 raise RuntimeError("the limit must be constant on every relabeling orbit")
 
     def step(self):
@@ -563,22 +545,31 @@ class _StaticEnsemble:
         self.powers, self._buf = self._buf, self.powers
         self._views = [buf, bases, powers]
 
+    def _orbit_values(self, A: np.ndarray) -> np.ndarray:
+        """Sum of g B g^T over the 2 n! relabelings and Hadamard conjugations g, per flat row B of A and orbit.
+
+        That sum is 2 n!/|o| times the sum of B over orbit o on every entry
+        of o; one ``bincount`` sums every row over every orbit, each sum
+        adding its entries in flat order.
+        """
+        return np.bincount(self._labels, weights=A.ravel()).reshape(len(A), -1) * self._scale
+
     def averages(self) -> np.ndarray:
         """Weighted sums of the current powers, one flat row per p in ``p_list``."""
         A = self.W @ self.powers
-        return _symmetrize(A, self.orbits) if self.orbits is not None else A
+        return A if self.orbit is None else self._orbit_values(A)[:, self.orbit]
 
     def distances(self) -> np.ndarray:
         """Hilbert-Schmidt distance of each average to the limit, one per p in ``p_list``.
 
-        A symmetrized average is 2 n!/|o| times the orbit sum T_o on every
-        entry of orbit o, and the limit is L_o there, so D^2 is the sum over
-        orbits of |o| (2 n!/|o| T_o - L_o)^2.
+        A symmetrized average takes one value T_o on every entry of orbit o,
+        and the limit one value L_o, so D^2 is the sum over orbits of
+        |o| (T_o - L_o)^2.
         """
         A = self.W @ self.powers
-        if self.orbits is None:
+        if self.orbit is None:
             return np.linalg.norm(A - self.limit, axis=1)
-        diff = _orbit_sums(A, self._labels) * self.orbits[1] - self._orbit_limit
+        diff = self._orbit_values(A) - self._orbit_limit
         return np.sqrt((diff * diff * self._orbit_size).sum(axis=1))
 
 
@@ -594,12 +585,16 @@ def _static_ensembles(n: int, p_list: list[float], mode: str | None, budget: int
     qubits and ``"sampled"`` above. ``exhaustive`` weighs the classes up
     to relabeling and reversal by p^|E| (1-p)^(n(n-1)-|E|) (arcless graphs
     apply the identity), one ensemble for all p; ``sampled`` weighs
-    ``budget`` seeded draws equally, one ensemble per p. ``p``, ``n``,
-    ``mode`` and one graph's bytes are checked at once; the result is an
-    iterator that builds each ensemble only when the caller asks for the next.
+    ``budget`` seeded draws equally, one ensemble per p. ``n``, ``p``,
+    ``budget``, ``mode`` and one graph's bytes are checked at once; the
+    result is an iterator that builds each ensemble only when the caller
+    asks for the next.
     """
+    _check_qubits(n)
     for p in p_list:
         closed_prob(p)
+    if budget < 1:
+        raise ValueError(f"the static ensemble needs at least one drawn graph (--budget), got {budget}")
     if mode is None:
         mode = "exhaustive" if n <= STATIC_EXHAUSTIVE_MAX_N else "sampled"
     if mode not in ("exhaustive", "sampled"):
@@ -650,7 +645,7 @@ def static_average_iterate(
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    ensembles = _static_ensembles(n, [float(p)], mode, budget, seed)  # checks n, mode and the bytes
+    ensembles = _static_ensembles(n, [float(p)], mode, budget, seed)  # checks n, p, budget, mode and the bytes
     if r == 0:
         return np.eye(4 ** n)  # every graph contributes M^0 = Id
     (ens,) = ensembles
@@ -829,6 +824,7 @@ def _dynamic_trace(n: int, p: Prob, r_max: int):
     normal float range. Refuses, before anything is built, when the largest
     sector holds more than ``DYNAMIC_SECTOR_MAX`` words.
     """
+    _check_qubits(n)
     largest = _largest_sector(n)
     if largest > DYNAMIC_SECTOR_MAX:
         words = largest if largest.bit_length() <= 64 else f"about 2^{largest.bit_length() - 1}"

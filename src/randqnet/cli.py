@@ -144,8 +144,6 @@ def _cmd_pc_curve(args) -> int:
     p_list = _parse_prob_list(args.p_list)
     if args.nmax < 1:
         raise UsageError("--nmax must be >= 1")
-    if args.nmax > 400:
-        raise CostGuardError("curve refused for nmax > 400")
     per_p = args.out and "{p}" in args.out
     all_rows = []
     for p in p_list:
@@ -211,8 +209,6 @@ def _cmd_evolve(args) -> int:
                       "falls below the normal float range", file=sys.stderr)
             rows.extend((ps, r, _fmt(d, args.precision)) for r, d in trace)
     else:
-        if args.budget < 1:
-            raise UsageError("--budget must be >= 1")
         traces = channels.static_convergence_traces(
             args.n, [float(p) for p in p_list], args.rmax, budget=args.budget, seed=args.seed
         )

@@ -339,10 +339,11 @@ def estimate_pc_monte_carlo(
 ) -> McEstimate:
     """Estimate the strong-connectivity probability of G(n, p) by sampling.
 
-    The sample budget is split into fixed-size chunks, each drawing from an
-    independent substream spawned from ``seed`` (``SeedSequence.spawn``), so
-    results are deterministic for a given (seed, samples) and independent of
-    ``workers``; merging is plain count addition. A chunk is 2^18 graphs,
+    The sample budget is split into fixed-size chunks; chunk i draws from
+    the i-th child of ``SeedSequence(seed).spawn``, built when it is drawn,
+    so results are deterministic for a given (seed, samples) and
+    independent of ``workers``, each of which draws every workers-th chunk;
+    merging is plain count addition. A chunk is 2^18 graphs,
     or the largest power of two below that fits the memory budget
     (``_mc_chunk``).
     Each arc compares a 16-bit variate with round(p * 65536), built from
@@ -369,11 +370,15 @@ def estimate_pc_monte_carlo(
             f"for the smallest chunk of {chunk} graphs, over the "
             f"{MEMORY_BUDGET_BYTES / 1e9:.0f} GB guard"
         )
-    plan = [chunk] * (samples // chunk)
-    if samples % chunk:
-        plan.append(samples % chunk)
-    workers = min(_mc_workers(workers, len(plan)), MEMORY_BUDGET_BYTES // _plane_bytes(n, plan[0]))
-    seeds = np.random.SeedSequence(seed).spawn(len(plan))
+    chunks = -(-samples // chunk)
+    workers = min(_mc_workers(workers, chunks), MEMORY_BUDGET_BYTES // _plane_bytes(n, chunk))
+    root = np.random.SeedSequence(seed)  # checks the seed before any thread starts
+
+    def strided_hits(first: int) -> int:
+        return sum(_mc_chunk_hits(n, threshold, min(chunk, samples - i * chunk),
+                                  np.random.SeedSequence(root.entropy, spawn_key=(i,)))
+                   for i in range(first, chunks, workers))
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        hits = sum(pool.map(lambda args: _mc_chunk_hits(n, threshold, *args), zip(plan, seeds)))
+        hits = sum(pool.map(strided_hits, range(workers)))
     return McEstimate(samples, hits, hits / samples, *wilson_interval(hits, samples))

@@ -205,10 +205,9 @@ def test_qubit_relabeling_conjugates_the_transfer_matrix():
         for perm in itertools.permutations(range(3))
         for h in (g, _reverse(g))
     )
-    blocks = ch._word_blocks(3)
-    flat = ch._link_sums(3, *ch._uniform_weights(3, [g.mask]), blocks)
-    (summed,) = ch._symmetrize(flat, ch._relabel_orbits(3, blocks))
-    assert np.abs(ch._from_blocks(summed, blocks) - expected).max() <= 1e-15
+    ens = ch._StaticEnsemble(3, [g.mask], {0.5: np.ones(1)}, symmetrize=True)
+    (summed,) = ens.averages()
+    assert np.abs(ch._from_blocks(summed, ens.blocks) - expected).max() <= 1e-15
 
 
 def test_global_hadamard_reverses_every_link():
@@ -313,9 +312,17 @@ def test_asymptotic_channel_rejects_single_qubit():
         asymptotic_state(1, state_mixed(1))
 
 
+def _fixed_basis(n: int) -> tuple[np.ndarray, list[int]]:
+    """The limit's fixed vectors b_k as the rows of a dense integer matrix, and the word count of each class."""
+    label, sign = ch._word_classes(n)
+    B = np.zeros((5, 4 ** n), dtype=np.int64)
+    B[label, np.arange(4 ** n)] = sign
+    return B, np.bincount(label, minlength=5).tolist()
+
+
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
 def test_fixed_basis_is_orthogonal_with_closed_form_norms(n):
-    B, norms = ch._fixed_basis(n)
+    B, norms = _fixed_basis(n)
     K = 2 ** n - 1
     assert norms == [1, K, K, K * (K - 1) // 2, 2 ** (n - 1) * K]
     assert np.array_equal(B @ B.T, np.diag(norms))
@@ -337,7 +344,7 @@ def test_word_blocks_partition_the_words_with_closed_form_sizes(n):
     for idx in idxs:
         assert np.array_equal(pos[idx], np.arange(len(idx)))
     # word class k is exactly the support of fixed-space basis vector k
-    B, _ = ch._fixed_basis(n)
+    B, _ = _fixed_basis(n)
     for k, b in enumerate(B):
         assert np.array_equal(np.flatnonzero(b), idxs[k])
 
@@ -349,7 +356,7 @@ def test_closed_form_class_sizes_match_the_classes_and_the_fixed_norms(n):
     assert sizes == (1, K, K, K * (K - 1) // 2, 2 ** (n - 1) * K)
     idxs, _ = ch._word_blocks(n)
     assert [len(idx) for idx in idxs] == list(sizes)
-    B, norms = ch._fixed_basis(n)
+    B, norms = _fixed_basis(n)
     assert (B * B).sum(axis=1).tolist() == norms == list(sizes)
     # a static ensemble holds three floats per block entry for each graph,
     # from n = 4 on more than the dense 4^n x 4^n result of static_average_iterate
@@ -450,6 +457,20 @@ def test_asymptotic_state_matches_dense_map(n, rng):
     for _ in range(3):
         rho = rng.normal(size=4 ** n)
         assert np.abs(asymptotic_state(n, rho) - M @ rho).max() <= 1e-15
+
+
+def test_asymptotic_state_holds_a_few_arrays_of_its_input_size():
+    # one bincount over the class labels: no 5 x 4^n basis (as int64 and as
+    # floats) is formed
+    rho = state_plus(9)
+    tracemalloc.start()
+    try:
+        sigma = asymptotic_state(9, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(sigma, rho)
+    assert peak < 8 * rho.nbytes
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -670,9 +691,9 @@ def test_orbit_space_distance_equals_the_dense_norm(n, n_orbits):
     # symmetrized average; that rests on the limit being constant on every
     # orbit of the relabelings and Hadamard conjugations
     blocks = ch._word_blocks(n)
-    orbits = ch._relabel_orbits(n, blocks)
-    orbit = orbits[0]
-    assert len(orbits[1]) == n_orbits
+    orbit, size = ch._relabel_orbits(n, blocks)
+    assert len(size) == n_orbits
+    assert np.array_equal(size, np.bincount(orbit))
     limit = ch._flat_limit(n, blocks)[0]
     low, high = np.full(n_orbits, np.inf), np.full(n_orbits, -np.inf)
     np.minimum.at(low, orbit, limit)
@@ -683,7 +704,7 @@ def test_orbit_space_distance_equals_the_dense_norm(n, n_orbits):
         if r > 1:
             ens.step()
         if r in (1, 2, 7):
-            dense = np.linalg.norm(ch._symmetrize(ens.W @ ens.powers, ens.orbits) - ens.limit, axis=1)
+            dense = np.linalg.norm(ens.averages() - ens.limit, axis=1)
             np.testing.assert_allclose(ens.distances(), dense, rtol=1e-12, atol=0)
 
 
@@ -729,6 +750,26 @@ def test_dense_builders_refuse_at_entry(n, dense_gb, graph_gb):
         assert _refused_peak(call, rf"n={n} needs ~{dense_gb} GB, over") < 1e6
     peak = _refused_peak(lambda: static_average_iterate(n, 0.5, 1), rf"n={n} needs ~{graph_gb} GB per graph")
     assert peak < 1e6
+
+
+def test_evolution_entry_points_need_two_qubits():
+    # one check, before any table: no CNOT exists on one qubit
+    calls = (lambda: static_convergence_traces(1, [0.5], 2), lambda: static_average_iterate(1, 0.5, 2),
+             lambda: convergence_trace(1, 0.5, "static", 2), lambda: convergence_trace(1, 0.5, "dynamic", 2))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"n must be >= 2"):
+            call()
+
+
+def test_static_paths_check_the_budget():
+    # an empty sampled ensemble would average to the zero matrix; the
+    # exhaustive mode, which draws nothing, refuses it too, as the CLI does
+    for call in (lambda: static_convergence_traces(3, [0.5], 2, mode="sampled", budget=0),
+                 lambda: static_average_iterate(2, 0.5, 2, mode="sampled", budget=0),
+                 lambda: static_convergence_traces(5, [0.5], 1, budget=-1),
+                 lambda: static_average_iterate(3, 0.5, 1, budget=0)):
+        with pytest.raises(ValueError, match=r"\(--budget\), got -?[01]"):
+            call()
 
 
 def test_static_paths_check_p():

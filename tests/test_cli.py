@@ -207,8 +207,14 @@ def test_pc_curve_per_p_files(tmp_path, capsys):
 
 
 def test_pc_curve_cost_guard(capsys):
-    code, _, _ = run_cli(capsys, "pc", "curve", "--nmax", "800", "--p-list", "1/2")
-    assert code == EXIT_COST
+    # pc curve has no size cap of its own: past n = 1030 the float binomials overflow
+    code, out, err = run_cli(capsys, "pc", "curve", "--p-list", "1/2", "--nmax", "1031")
+    assert code == EXIT_COST and out == ""
+    assert err.splitlines()[-1] == ("refused: float binomials C(1030, j) overflow; the float path "
+                                    "supports at most n = 1030 vertices")
+    code, out, _ = run_cli(capsys, "pc", "curve", "--p-list", "1/2", "--nmax", "1030")
+    assert code == EXIT_OK
+    assert len(parse_csv(out)) == 1030
 
 
 def test_pc_mc_deterministic(capsys):
@@ -380,6 +386,18 @@ def test_asymptote_rows_match_per_index_oracle(capsys, state):
     for a, c in enumerate(asymptotic_state(n, rho)):
         writer.writerow([a, index_to_word(a, n), format(float(c), ".6g")])
     assert out == buf.getvalue()
+
+
+@pytest.mark.parametrize("state", ("zero", "plus", "mixed"))
+def test_asymptote_prints_no_negative_zero(capsys, state):
+    # these states are fixed, with no negative coefficient; a zero on a word
+    # of sign -1 in its class's fixed vector is -1 * 0.0 and must print as 0
+    for n in range(2, 7):
+        code, out, _ = run_cli(capsys, "asymptote", "--n", str(n), "--state", state)
+        assert code == EXIT_OK
+        rows = parse_csv(out)
+        assert len(rows) == 4 ** n
+        assert not [r for r in rows if r["coefficient"].startswith("-")], (n, state)
 
 
 def test_asymptote_zero_state_is_fixed(capsys):

@@ -2,6 +2,7 @@
 
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,31 @@ def test_mc_memory_guard_admits_n120_with_one_worker(monkeypatch):
     monkeypatch.setattr(digraph_module.os, "cpu_count", lambda: 4)
     estimate_pc_monte_carlo(120, 0.5, 10 ** 6, seed=1, workers=3)
     assert pools == [1, 2]
+
+
+def test_mc_keeps_no_per_chunk_state(monkeypatch):
+    # 20 000 chunks, nothing drawn: each chunk's seed is built when the chunk
+    # is drawn, and each worker runs one strided range of chunks; a spawned
+    # seed list with a plan and a future per chunk traced about 40 MB here
+    seeds = []
+
+    def record_chunk(n, threshold, size, seed):
+        if len(seeds) < 3:
+            seeds.append(seed.spawn_key)
+        return size
+
+    monkeypatch.setattr(digraph_module, "_mc_chunk_hits", record_chunk)
+    samples = 20_000 * digraph_module._mc_chunk(7)
+    for workers in (1, 2):
+        tracemalloc.start()
+        try:
+            est = estimate_pc_monte_carlo(7, 0.5, samples, seed=3, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.hits == samples
+        assert peak < 4e6
+    assert seeds[:3] == [(0,), (1,), (2,)]
 
 
 def _planes_oracle(seed: int, threshold: int, shape: tuple) -> np.ndarray:
