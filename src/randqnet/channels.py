@@ -291,14 +291,20 @@ def _word_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
     without it; the other words with an even number of Y letters; and the
     words with an odd number.
     """
-    a, low = np.arange(4 ** n), (4 ** n - 1) // 3  # low: the low bit of every base-4 digit
-    x, z = (a ^ a >> 1) & low, a >> 1 & low  # X- and Z-bits, as a letter is (x ^ z) + 2z
-    ny = np.bitwise_count(x & z)
-    label = np.where(ny % 2 == 1, 4, 3)
+    low = (4 ** n - 1) // 3  # the low bit of every base-4 digit
+    x = np.arange(4 ** n)  # X- and Z-bits, built in place, as a letter is (x ^ z) + 2z
+    z = x >> 1
+    z &= low
+    x &= low
+    x ^= z
+    label = np.full(4 ** n, 3, dtype=np.int8)
     label[z == 0] = 2
     label[x == 0] = 1
     label[0] = 0
-    return label, np.where(ny & 2, -1, 1)
+    x &= z
+    ny = np.bitwise_count(x)  # Y letters, uint8
+    label[ny & 1 == 1] = 4  # an odd count has x != 0 and z != 0
+    return label, np.where(ny & 2, np.int8(-1), np.int8(1))
 
 
 def _class_sizes(n: int) -> tuple[int, ...]:

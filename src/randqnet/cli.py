@@ -174,6 +174,10 @@ def _cmd_pc_mc(args) -> int:
     est = digraph.estimate_pc_monte_carlo(
         args.n, p, args.samples, seed=args.seed, workers=args.threads
     )
+    sampled = digraph.mc_arc_prob(p)  # k / 65536
+    if sampled != p:
+        print(f"note: pc mc samples each arc at p = {sampled * 65536}/65536 = {float(sampled)!r}, "
+              f"the point of its 1/65536 grid nearest p = {_prob_str(p)}", file=sys.stderr)
     row = (args.n, _prob_str(p), est.samples, est.hits, _fmt(est.estimate, args.precision),
            _fmt(est.lo, args.precision), _fmt(est.hi, args.precision), est.confidence, args.seed)
     fields = ["n", "p", "samples", "hits", "estimate", "lo", "hi", "confidence", "seed"]

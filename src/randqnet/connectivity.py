@@ -27,8 +27,11 @@ oracle.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -149,16 +152,32 @@ class ConnectivitySession:
         return tables
 
 
-# -- module-level conveniences (fresh session per call) --
+# -- module-level conveniences (one shared session per recent p) --
+
+_SESSION_LOCK = threading.Lock()  # a cached session is shared, so one call runs at a time
+
+
+@lru_cache(maxsize=8, typed=True)
+def _cached_session(p: Prob) -> ConnectivitySession:
+    """The session of the eight most recent (type(p), p): 0.5 and Fraction(1, 2) hash alike."""
+    return ConnectivitySession(p)
+
+
+def _session(p: Prob) -> ConnectivitySession:
+    """A session at ``p``: cached, except for a Decimal, whose values depend on the context precision."""
+    return ConnectivitySession(p) if isinstance(p, Decimal) else _cached_session(p)
+
 
 def prob_disconnected(n: int, p: Prob) -> Prob:
     """Probability that G(n, p) is not strongly connected."""
-    return ConnectivitySession(p).prob_disconnected(n)
+    with _SESSION_LOCK:
+        return _session(p).prob_disconnected(n)
 
 
 def prob_strongly_connected(n: int, p: Prob) -> Prob:
     """Probability that G(n, p) is strongly connected."""
-    return ConnectivitySession(p).prob_strongly_connected(n)
+    with _SESSION_LOCK:
+        return _session(p).prob_strongly_connected(n)
 
 
 def prob_disconnected_undirected(n: int, p: Prob) -> Prob:
@@ -169,7 +188,8 @@ def prob_disconnected_undirected(n: int, p: Prob) -> Prob:
     large n the probability is dominated by a single isolated vertex and
     can be ~1e-200 while still comparable against bounds).
     """
-    return ConnectivitySession(p).prob_disconnected_undirected(n)
+    with _SESSION_LOCK:
+        return _session(p).prob_disconnected_undirected(n)
 
 
 def prob_connected_undirected(n: int, p: Prob) -> Prob:
@@ -178,7 +198,8 @@ def prob_connected_undirected(n: int, p: Prob) -> Prob:
     By conditioning on the component of a fixed vertex, P(n) = 1 -
     sum_{k<n} C(n-1, k-1) P(k) (1-p)^(k(n-k)), the session's R(n).
     """
-    return ConnectivitySession(p).prob_connected_undirected(n)
+    with _SESSION_LOCK:
+        return _session(p).prob_connected_undirected(n)
 
 
 def lower_bound_pc(n: int, p: Prob) -> float:

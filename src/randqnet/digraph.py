@@ -44,16 +44,20 @@ __all__ = [
     "exact_pc_bruteforce",
     "wilson_interval",
     "estimate_pc_monte_carlo",
+    "mc_arc_prob",
 ]
 
 BRUTEFORCE_MAX_N = 5  # 2^(n(n-1)) graphs; n = 5 is already ~10^6
 
-# Monte Carlo arcs compare a 16-bit variate, one raw random word per binary
-# digit, with round(p * 2^16): p is realized on a 1/65536 grid (exact for
-# p = k/65536, off by at most 2^-17 otherwise).
+# Monte Carlo arcs compare a 16-bit variate with round(p * 2^16), most
+# significant digit first: p is realized on a 1/65536 grid (exact for
+# p = k/65536, off by at most 2^-17 otherwise). A digit costs one raw random
+# word per 64 arcs; the top byte is drawn for every word and the low byte
+# only for the words where some arc still ties.
 _MC_DIGITS = 16
 _MC_P_GRID = 1 << _MC_DIGITS
-_MC_CHUNK = 1 << 18  # graphs per chunk, halved at large n until two arc planes fit the budget
+_MC_BLOCK = 8192  # plane words compared together, so that the tie scratch stays in cache
+_MC_CHUNK = 1 << 18  # graphs per chunk, halved at large n until its arc plane fits the budget
 
 # One memory budget for the arrays a single run holds: the Monte Carlo
 # chunks in flight and the static channel ensembles.
@@ -273,27 +277,55 @@ def _bernoulli_planes(bitgen: np.random.BitGenerator, threshold: int, shape: tup
 
     Bit j of a word is lane j. Each lane compares a uniform 16-bit variate
     U with the threshold, U's binary digit i being the complement of the
-    lane's bit in the raw words drawn for digit i. The comparison runs
-    least significant digit first: after digit i a bit says whether
-    U mod 2^(i+1) < threshold mod 2^(i+1), so a 1 digit of the threshold
-    ORs the next raw words in and a 0 digit ANDs them. Digits below the
-    threshold's lowest set bit cannot decide the comparison and are never
-    drawn, so p = 1/2 costs one raw word per 64 lanes.
+    lane's bit in the raw words drawn for digit i. The flat plane is walked
+    in blocks of ``_MC_BLOCK`` words, and each block compares the top byte
+    most significant digit first: at a 1 digit of the threshold, tied lanes
+    whose U digit is 0 are decided present, and at a 0 digit, tied lanes
+    whose U digit is 1 are decided absent. Only the words where some lane
+    still ties draw the low byte, least significant digit first (an OR at a
+    1 digit, an AND at a 0 digit), and those lanes are present where it
+    compares below. Digits below the threshold's lowest set bit cannot
+    decide the comparison and are never drawn, and a lane tied there has
+    U >= threshold. So p = 1/2 is the raw words themselves, one per 64
+    lanes, and an odd threshold costs 8 + 8 (1 - (255/256)^64), about
+    9.8, raw words per 64 lanes.
     """
     if threshold <= 0:
         return np.zeros(shape, dtype=np.uint64)
     if threshold >= _MC_P_GRID:
         return np.full(shape, ~np.uint64(0), dtype=np.uint64)
     low = (threshold & -threshold).bit_length() - 1
-    planes = bitgen.random_raw(shape)
-    for digit in range(low + 1, _MC_DIGITS):
-        raw = bitgen.random_raw(shape)
-        if (threshold >> digit) & 1:
-            np.bitwise_or(planes, raw, out=planes)
-        else:
-            np.bitwise_and(planes, raw, out=planes)
-        del raw  # at most two planes are alive while the next digit is drawn
+    if low == _MC_DIGITS - 1:
+        return bitgen.random_raw(shape)
+    planes = np.zeros(shape, dtype=np.uint64)
+    flat = planes.reshape(-1)
+    top = range(_MC_DIGITS - 1, max(low, 8) - 1, -1)
+    for start in range(0, flat.size, _MC_BLOCK):
+        less = flat[start:start + _MC_BLOCK]
+        tie = np.full(less.size, ~np.uint64(0))
+        for digit in top:
+            raw = bitgen.random_raw(less.size)
+            if (threshold >> digit) & 1:
+                np.bitwise_and(raw, tie, out=raw)  # tied lanes with U digit 0: decided present
+                np.bitwise_or(less, raw, out=less)
+                np.bitwise_xor(tie, raw, out=tie)
+            else:
+                np.bitwise_and(tie, raw, out=tie)  # tied lanes with U digit 1 are decided absent
+        if low < 8:
+            idx = np.flatnonzero(tie)
+            chain = bitgen.random_raw(idx.size)
+            for digit in range(low + 1, 8):
+                if (threshold >> digit) & 1:
+                    np.bitwise_or(chain, bitgen.random_raw(idx.size), out=chain)
+                else:
+                    np.bitwise_and(chain, bitgen.random_raw(idx.size), out=chain)
+            less[idx] |= tie[idx] & chain
     return planes
+
+
+def mc_arc_prob(p: Prob) -> Fraction:
+    """The arc probability ``estimate_pc_monte_carlo`` samples for ``p``: round(p * 2^16) / 2^16."""
+    return Fraction(round(closed_prob(p) * _MC_P_GRID), _MC_P_GRID)
 
 
 def _mc_chunk_hits(n: int, threshold: int, size: int, seed: np.random.SeedSequence) -> int:
@@ -307,15 +339,20 @@ def _mc_chunk_hits(n: int, threshold: int, size: int, seed: np.random.SeedSequen
 
 
 def _plane_bytes(n: int, size: int) -> int:
-    """Bytes of a ``size``-graph chunk's two arc planes: the running comparison and one raw digit."""
-    return 2 * 8 * n * (n - 1) * ((size + 63) >> 6)
+    """Bytes a worker holds for a ``size``-graph chunk: its arc plane and its block scratch.
+
+    The scratch is at most six block-sized word arrays: the ties, a raw digit
+    and, for the tied words, their indices, the low-byte chain, its next raw
+    digit and one gathered copy.
+    """
+    return 8 * (n * (n - 1) * ((size + 63) >> 6) + 6 * _MC_BLOCK)
 
 
 def _mc_chunk(n: int) -> int:
     """Graphs per chunk: the largest power of two up to ``_MC_CHUNK`` whose planes fit the budget.
 
     It depends only on n, so the chunk seeds, and with them the hits, do not
-    depend on the number of workers. Every n <= 175 gets the full 2^18.
+    depend on the number of workers. Every n <= 247 gets the full 2^18.
     """
     chunk = _MC_CHUNK
     while chunk > 64 and _plane_bytes(n, chunk) > MEMORY_BUDGET_BYTES:
@@ -346,23 +383,25 @@ def estimate_pc_monte_carlo(
     merging is plain count addition. A chunk is 2^18 graphs,
     or the largest power of two below that fits the memory budget
     (``_mc_chunk``).
-    Each arc compares a 16-bit variate with round(p * 65536), built from
-    one raw 64-bit word per binary digit straight into 64-graph bit planes
-    (``_bernoulli_planes``), so p is realized on a 1/65536 grid (exact at
-    the endpoints and for p = k/65536) and p = 1/2 costs one word per 64
-    graphs. A chunk holds at most two planes of 8 bytes per arc and 64
-    graphs. At most one thread per CPU and per chunk is started, and no
-    more than fit their chunks in ``MEMORY_BUDGET_BYTES``; a run is refused
-    before anything is drawn only when one 64-graph chunk does not fit.
+    Each arc compares a 16-bit variate with round(p * 65536)
+    (``mc_arc_prob``), most significant digit first, one raw 64-bit word
+    per binary digit and 64 graphs (``_bernoulli_planes``): the top byte
+    for every word, the low byte only for the words where some arc still
+    ties. So p is realized on a 1/65536 grid (exact at the endpoints and
+    for p = k/65536), a general p costs about 9.8 raw words per 64 arcs and
+    p = 1/2 one. A chunk holds one plane of 8 bytes per arc and 64 graphs,
+    plus a scratch of a few 8192-word blocks. At most one thread per CPU
+    and per chunk is started, and no more than fit their chunks in
+    ``MEMORY_BUDGET_BYTES``; a run is refused before anything is drawn only
+    when one 64-graph chunk does not fit.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    pf = closed_prob(p)
+    threshold = int(mc_arc_prob(p) * _MC_P_GRID)
     if n == 1:
         return McEstimate(samples, samples, 1.0, *wilson_interval(samples, samples))
-    threshold = round(pf * _MC_P_GRID)
     chunk = _mc_chunk(n)
     if _plane_bytes(n, chunk) > MEMORY_BUDGET_BYTES:
         raise CostGuardError(

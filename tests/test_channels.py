@@ -335,6 +335,22 @@ def test_fixed_basis_is_orthogonal_with_closed_form_norms(n):
         assert np.array_equal(image, B)
 
 
+def test_limit_state_peak_stays_below_four_inputs():
+    # int8 labels and signs beside two int64 bit planes; five int64 4^n
+    # arrays, 5.25 inputs, were live at once when the labels were int64
+    rho = state_plus(9)
+    tracemalloc.start()
+    try:
+        out = asymptotic_state(9, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    label, sign = ch._word_classes(9)
+    assert label.dtype == sign.dtype == np.int8
+    assert peak <= 4 * rho.nbytes
+    assert out.shape == rho.shape
+
+
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
 def test_word_blocks_partition_the_words_with_closed_form_sizes(n):
     idxs, pos = ch._word_blocks(n)

@@ -235,11 +235,25 @@ def test_pc_mc_threads_below_one_is_usage_error(capsys):
 
 
 def test_pc_mc_memory_guard(capsys):
-    # two arc planes of the smallest, 64-graph chunk: 2 x 8 B x 143 988 000 arcs x 1 word
-    code, _, err = run_cli(capsys, "pc", "mc", "--n", "12000")
+    # the arc plane of the smallest, 64-graph chunk: 8 B x 288 983 000 arcs x 1 word
+    code, _, err = run_cli(capsys, "pc", "mc", "--n", "17000")
     assert code == EXIT_COST
     assert "~2.3 GB" in err
     assert "smallest chunk of 64 graphs" in err
+
+
+def test_pc_mc_notes_the_sampled_grid_p(capsys):
+    # arcs compare a 16-bit variate with round(p * 65536): 1e-6 rounds to 0
+    code, out, err = run_cli(capsys, "pc", "mc", "--n", "3", "--p", "0.000001", "--samples", "1000")
+    assert code == EXIT_OK
+    assert parse_csv(out)[0]["p"] == "1e-06" and parse_csv(out)[0]["hits"] == "0"
+    assert err.splitlines() == ["note: pc mc samples each arc at p = 0/65536 = 0.0, "
+                                "the point of its 1/65536 grid nearest p = 1e-06"]
+    code, _, err = run_cli(capsys, "pc", "mc", "--n", "3", "--p", "1/100000", "--samples", "1000")
+    assert code == EXIT_OK and "p = 1/65536 = 1.52587890625e-05" in err
+    for p in ("1/2", "0.5", "1"):
+        code, _, err = run_cli(capsys, "pc", "mc", "--n", "3", "--p", p, "--samples", "1000")
+        assert code == EXIT_OK and err == ""
 
 
 def test_pc_mc_p_one(capsys):

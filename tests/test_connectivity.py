@@ -19,6 +19,7 @@ from randqnet import (
     prob_disconnected_undirected,
     prob_strongly_connected,
 )
+import randqnet.connectivity as connectivity_module
 from randqnet.cli import main
 from randqnet.connectivity import FLOAT_PC_MAX_N
 from conftest import (
@@ -289,6 +290,33 @@ def test_sessions_are_independent_across_threads():
     with ThreadPoolExecutor(max_workers=4) as pool:
         threaded = list(pool.map(run, ps))
     assert threaded == [run(p) for p in ps]
+
+
+def test_module_functions_share_sessions_by_type_and_p():
+    # 0.5 == Fraction(1, 2) and the two hash alike, yet each keeps its own number type
+    funcs = (prob_disconnected, prob_strongly_connected, prob_disconnected_undirected,
+             prob_connected_undirected)
+    connectivity_module._cached_session.cache_clear()
+    for p, kind in ((0.5, float), (HALF, Fraction), (0.5, float)):
+        for f in funcs:
+            assert type(f(12, p)) is kind
+            assert f(12, p) == getattr(ConnectivitySession(p), f.__name__)(12)
+    # two threads growing the shared tables get the values of fresh sessions
+    connectivity_module._cached_session.cache_clear()
+    ps = (0.3, HALF, 0.5, Fraction(2, 7))
+    queries = [(f, n, p) for n in range(2, 40, 5) for p in ps for f in funcs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(lambda q: q[0](q[1], q[2]), queries))
+    fresh = {(type(p), p): ConnectivitySession(p) for p in ps}
+    serial = [getattr(fresh[type(p), p], f.__name__)(n) for f, n, p in queries]
+    assert [repr(v) for v in threaded] == [repr(v) for v in serial]
+    # a Decimal session is not shared: its values follow the context precision of each call
+    for prec in (40, 20):
+        with localcontext() as ctx:
+            ctx.prec = prec
+            value = prob_disconnected(9, Decimal("0.3"))
+            assert value == ConnectivitySession(Decimal("0.3")).prob_disconnected(9)
+            assert len(value.as_tuple().digits) <= prec
 
 
 # --- undirected connectivity ---------------------------------------------------

@@ -257,24 +257,24 @@ def test_mc_workers_clamped_to_cpus_and_chunks(monkeypatch):
 
 
 def test_mc_memory_guard_refuses_before_drawing(monkeypatch):
-    # n = 12 000: two planes of the smallest, 64-graph chunk of 143 988 000 arcs need ~2.3 GB
+    # n = 17 000: the plane of the smallest, 64-graph chunk of 288 983 000 arcs needs ~2.3 GB
     def no_draws(*args):
         raise AssertionError("drew before the guard refused")
 
     with monkeypatch.context() as m:
         m.setattr(digraph_module, "_mc_chunk_hits", no_draws)
         with pytest.raises(CostGuardError, match=r"~2\.3 GB .*smallest chunk of 64 graphs"):
-            estimate_pc_monte_carlo(12_000, 0.5, 10 ** 6, seed=1)
+            estimate_pc_monte_carlo(17_000, 0.5, 10 ** 6, seed=1)
     # a large n whose short chunk fits is drawn for real
     est = estimate_pc_monte_carlo(200, 0.5, 64, seed=1)
     assert est.samples == 64
 
 
 def test_mc_chunk_sized_from_memory_budget(monkeypatch):
-    # the plan only, nothing is drawn: 2 planes x 8 B x 39 800 arcs x 2^18/64
-    # words = 2.6 GB, so n = 200 runs 2^17-graph chunks of 1.3 GB, one at a time
-    assert [digraph_module._mc_chunk(n) for n in (2, 120, 175)] == [1 << 18] * 3
-    assert [digraph_module._mc_chunk(n) for n in (176, 200)] == [1 << 17] * 2
+    # the plan only, nothing is drawn: 1 plane x 8 B x 89 700 arcs x 2^18/64
+    # words = 2.9 GB, so n = 300 runs 2^17-graph chunks of 1.5 GB, one at a time
+    assert [digraph_module._mc_chunk(n) for n in (2, 120, 247)] == [1 << 18] * 3
+    assert [digraph_module._mc_chunk(n) for n in (248, 300)] == [1 << 17] * 2
     chunk_sizes = []
 
     def seeded_hits(n, threshold, size, seed):
@@ -283,16 +283,16 @@ def test_mc_chunk_sized_from_memory_budget(monkeypatch):
 
     monkeypatch.setattr(digraph_module, "_mc_chunk_hits", seeded_hits)
     monkeypatch.setattr(digraph_module.os, "cpu_count", lambda: 4)
-    one = estimate_pc_monte_carlo(200, 0.5, 10 ** 6, seed=1)
+    one = estimate_pc_monte_carlo(300, 0.5, 10 ** 6, seed=1)
     assert chunk_sizes == [1 << 17] * 7 + [10 ** 6 - 7 * (1 << 17)]
-    two = estimate_pc_monte_carlo(200, 0.5, 10 ** 6, seed=1, workers=2)
+    two = estimate_pc_monte_carlo(300, 0.5, 10 ** 6, seed=1, workers=2)
     assert sorted(chunk_sizes[8:]) == sorted(chunk_sizes[:8])
     assert one.hits == two.hits
 
 
 def test_mc_memory_guard_admits_n120_with_one_worker(monkeypatch):
-    # the estimate only, nothing is drawn: 2 planes x 8 B x 14 280 arcs x
-    # 4096 words = 0.94 GB per chunk fits twice, not three times
+    # the estimate only, nothing is drawn: 1 plane x 8 B x 14 280 arcs x
+    # 4096 words = 0.47 GB per chunk fits four times, not five
     chunk_sizes = []
     pools = []
 
@@ -311,10 +311,10 @@ def test_mc_memory_guard_admits_n120_with_one_worker(monkeypatch):
     assert est.samples == 10 ** 6
     assert chunk_sizes == [1 << 18] * 3 + [10 ** 6 - 3 * (1 << 18)]
     assert pools == [1]  # one path: a single worker still runs its chunks through a pool
-    # three requested workers are clamped to the two whose chunks fit
-    monkeypatch.setattr(digraph_module.os, "cpu_count", lambda: 4)
-    estimate_pc_monte_carlo(120, 0.5, 10 ** 6, seed=1, workers=3)
-    assert pools == [1, 2]
+    # five requested workers, with eight chunks and CPUs, are clamped to the four whose chunks fit
+    monkeypatch.setattr(digraph_module.os, "cpu_count", lambda: 8)
+    estimate_pc_monte_carlo(120, 0.5, 2 * 10 ** 6, seed=1, workers=5)
+    assert pools == [1, 4]
 
 
 def test_mc_keeps_no_per_chunk_state(monkeypatch):
@@ -345,31 +345,77 @@ def test_mc_keeps_no_per_chunk_state(monkeypatch):
 def _planes_oracle(seed: int, threshold: int, shape: tuple) -> np.ndarray:
     """Bits U < threshold, U assembled lane by lane from complemented raw digits.
 
-    A fresh PCG64(seed) draws one raw array per digit of U, from the
-    threshold's lowest set bit up to digit 15 in that order. Digit i of a
-    lane's variate is the complement of the lane's bit in the array drawn
-    for digit i; lane j of a word is its bit j. Digits below the lowest set
-    bit of the threshold are never drawn and cannot change the comparison,
-    so they are taken as zero.
+    A fresh PCG64(seed) walks the flat plane in blocks of ``_MC_BLOCK``
+    words. Each block draws one raw array per top digit of U, from digit 15
+    down to digit 8 or to the threshold's lowest set bit if that is higher;
+    then, if the threshold has set digits below 2^8, one array per low digit
+    from its lowest set bit up to digit 7, over the block's words that hold
+    a lane whose top digits equal the threshold's, in index order. Digit i
+    of a lane's variate is the complement of the lane's bit in the array
+    drawn for digit i; lane j of a word is its bit j. Digits never drawn for
+    a lane cannot change its comparison, so they are taken as zero.
     """
     bitgen = np.random.PCG64(seed)
     lanes = np.arange(64, dtype=np.uint64)
     low = (threshold & -threshold).bit_length() - 1
-    u = np.zeros(shape + (64,), dtype=np.int64)
-    for digit in range(low, 16):
-        bits = (bitgen.random_raw(shape)[..., None] >> lanes) & np.uint64(1)
-        u += (1 - bits.astype(np.int64)) << digit
+    stop = max(low, 8)
+
+    def digit_values(words: int, digit: int) -> np.ndarray:
+        bits = (bitgen.random_raw(words)[:, None] >> lanes) & np.uint64(1)
+        return (1 - bits.astype(np.int64)) << digit
+
+    words = int(np.prod(shape))
+    u = np.zeros((words, 64), dtype=np.int64)
+    for start in range(0, words, digraph_module._MC_BLOCK):
+        block = u[start:start + digraph_module._MC_BLOCK]
+        for digit in range(15, stop - 1, -1):
+            block += digit_values(len(block), digit)
+        if low < 8:
+            tied = np.flatnonzero((block >> 8 == threshold >> 8).any(axis=1))
+            for digit in range(low, 8):
+                block[tied] += digit_values(len(tied), digit)
     below = (u < threshold).astype(np.uint64)
-    return (below << lanes).sum(axis=-1, dtype=np.uint64)
+    return (below << lanes).sum(axis=-1, dtype=np.uint64).reshape(shape)
 
 
-@pytest.mark.parametrize("threshold", [1, 3, 19661, 32768, 45875, 65535])
+@pytest.mark.parametrize("threshold", [1, 3, 19661, 32768, 45875, 49152, 65535])
 def test_bernoulli_planes_equal_u_below_threshold(threshold):
-    shape = (7, 33)
-    for seed in (0, 12345):
-        planes = digraph_module._bernoulli_planes(np.random.PCG64(seed), threshold, shape)
-        assert planes.dtype == np.uint64 and planes.shape == shape
-        assert np.array_equal(planes, _planes_oracle(seed, threshold, shape))
+    # one block, and three 8192-word blocks of which the last is ragged
+    for shape in ((7, 33), (5, 3500)):
+        for seed in (0, 12345):
+            planes = digraph_module._bernoulli_planes(np.random.PCG64(seed), threshold, shape)
+            assert planes.dtype == np.uint64 and planes.shape == shape
+            assert np.array_equal(planes, _planes_oracle(seed, threshold, shape))
+
+
+class _CountingBitGenerator:
+    """A PCG64 whose ``random_raw`` records how many raw words each call drew."""
+
+    def __init__(self, seed: int):
+        self.inner = np.random.PCG64(seed)
+        self.words = 0
+
+    def random_raw(self, size):
+        self.words += int(np.prod(size))
+        return self.inner.random_raw(size)
+
+
+def test_bernoulli_planes_raw_words_per_plane_word():
+    # an odd threshold draws the top byte for every word and the low byte
+    # only where a lane ties, 8 + 8 (1 - (255/256)^64) = 9.77 words per word
+    shape = (380, 4096)
+    for threshold, most in ((19661, 10.0), (32768, 1.0)):
+        bitgen = _CountingBitGenerator(5)
+        digraph_module._bernoulli_planes(bitgen, threshold, shape)
+        ratio = bitgen.words / np.prod(shape)
+        assert ratio <= most
+    assert ratio == 1.0
+
+
+def test_bernoulli_planes_at_one_half_are_the_raw_words():
+    shape = (90, 4096)
+    planes = digraph_module._bernoulli_planes(np.random.PCG64(8), 32768, shape)
+    assert np.array_equal(planes, np.random.PCG64(8).random_raw(shape))
 
 
 def test_mc_interval_contains_exact_value():
