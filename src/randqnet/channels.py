@@ -35,16 +35,16 @@ only description of L; the exact and dense maps, the O(4^n) state map
 A dynamic network redraws its graph every step, so its r-th iterate is the
 r-th power S^r of the graph-averaged channel S; since S^r - L = (S - L)^r,
 the spectrum of S - L gives D(r) for every r. S = w_id Id + c A with A the
-sum of all link permutations, which does not depend on p, so one
-spectrum of A per n serves every p. It is taken one symmetry sector at a
-time (``_link_sectors``): the qubit swaps (0 1), (2 3), ... and the global
-Hadamard letter swap commute with A, and each character of the abelian
-group they generate gives one small matrix per block. A static
-network keeps one unknown graph, so its r-th iterate is the ensemble
-average of the per-graph powers M_g^r, held per block for all graphs in
-one array: exact, from one representative per class of graphs up to
-relabeling and reversal, up to ``STATIC_EXHAUSTIVE_MAX_N`` qubits, and
-over seeded graph draws above.
+sum of all link permutations, which does not depend on p, so one spectrum
+of A per n serves every p. It is taken one symmetry sector at a time
+(``_link_sectors``): the sector group, the subgroup of the ``_symmetries``
+action generated by the disjoint qubit swaps (0 1), (2 3), ... and the
+global Hadamard letter swap, commutes with A, and each of its characters
+gives one small matrix per block. A static network keeps one unknown graph,
+so its r-th iterate is the ensemble average of the per-graph powers M_g^r,
+held per block for all graphs in one array: exact, from one representative
+per class of graphs up to relabeling and reversal, up to
+``STATIC_EXHAUSTIVE_MAX_N`` qubits, and over seeded graph draws above.
 ``_static_ensembles`` is the one place that picks between the two; it
 refuses before any draw when one graph's blocks (``_static_graph_bytes``)
 exceed ``MEMORY_BUDGET_BYTES``, and the ensemble when all its graphs do.
@@ -126,37 +126,25 @@ def cnot_conjugate(word: str, control: int, target: int) -> SignedPauli:
     """Image U P U^dagger of a Pauli word under the CNOT with given control/target.
 
     Always another Pauli word with sign +-1; only the control and target
-    letters change.
+    letters change. It is ``_cnot_images`` of the word's index.
     """
     n = len(word)
     if control == target:
         raise ValueError("control and target must differ")
     if not (0 <= control < n and 0 <= target < n):
         raise ValueError("control/target out of range")
-    dc = PAULI_LETTERS.index(word[control])
-    dt = PAULI_LETTERS.index(word[target])
-    letters = list(word)
-    letters[control] = PAULI_LETTERS[_CNOT_C[dc, dt]]
-    letters[target] = PAULI_LETTERS[_CNOT_T[dc, dt]]
-    return SignedPauli("".join(letters), int(_CNOT_SIGN[dc, dt]))
+    if n > 31:
+        raise ValueError("a word has an int64 index only up to 31 letters")
+    image, sign = _cnot_images(sum(PAULI_LETTERS.index(c) << 2 * q for q, c in enumerate(word)), control, target)
+    return SignedPauli(index_to_word(int(image), n), int(sign))
 
 
-def _cnot_images(idx: np.ndarray, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    """Image index and integer sign of each Pauli index in ``idx`` under CNOT conjugation."""
+def _cnot_images(idx, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Image index and integer sign of a Pauli index, or of each in an array ``idx``, under CNOT conjugation."""
     dc = (idx >> (2 * control)) & 3
     dt = (idx >> (2 * target)) & 3
     perm = idx + (_CNOT_C[dc, dt] - dc) * 4 ** control + (_CNOT_T[dc, dt] - dt) * 4 ** target
     return perm, _CNOT_SIGN[dc, dt]
-
-
-@lru_cache(maxsize=None)
-def _cnot_index_action(n: int, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation and sign arrays of CNOT conjugation on all 4^n Pauli indices."""
-    perm, sign = _cnot_images(np.arange(4 ** n), control, target)
-    sign = sign.astype(np.float64)
-    perm.setflags(write=False)
-    sign.setflags(write=False)
-    return perm, sign
 
 
 @dataclass(frozen=True)
@@ -221,7 +209,7 @@ def _link_sums(n: int, W, w_id, blocks) -> np.ndarray:
     flat = np.zeros((len(W), sum(len(idx) ** 2 for idx in blocks[0])))
     flat[:, rows + pos] = np.reshape(w_id, (-1, 1))
     for a, (u, v) in enumerate(arc_pairs(n)):
-        perm, sign = _cnot_index_action(n, u, v)
+        perm, sign = _cnot_images(np.arange(4 ** n), u, v)
         flat[:, rows[perm] + pos] += W[:, a:a + 1] * sign  # entry (perm[w], w) for every word w
     return flat
 
@@ -438,6 +426,14 @@ def _flat_limit(n: int, blocks) -> np.ndarray:
     return flat
 
 
+def _word_maps(n: int, elements):
+    """Yield per (perm, reverse) the image of every Pauli index under q -> perm[q], and X <-> Z if reverse."""
+    digits = [(np.arange(4 ** n) >> (2 * q)) & 3 for q in range(n)]  # extracted once per call
+    for perm, reverse in elements:
+        letters = np.array([_I, _Z, _Y, _X] if reverse else [_I, _X, _Y, _Z])
+        yield sum(letters[d] << 2 * t for d, t in zip(digits, perm))
+
+
 def _symmetries(n: int):
     """Yield (arc map, word map) for the 2 n! relabelings q -> perm[q], each without and with reversal.
 
@@ -448,12 +444,10 @@ def _symmetries(n: int):
     graph's at (a, b); the Y signs cancel, as each word class has one Y parity.
     """
     pairs = arc_pairs(n)
-    digits = [(np.arange(4 ** n) >> (2 * q)) & 3 for q in range(n)]
-    for perm in itertools.permutations(range(n)):
-        for reverse in (False, True):
-            letters = np.array([_I, _Z, _Y, _X] if reverse else [_I, _X, _Y, _Z])
-            ends = [(perm[v], perm[u]) if reverse else (perm[u], perm[v]) for u, v in pairs]
-            yield [arc_index(n, *e) for e in ends], sum(letters[d] << 2 * t for d, t in zip(digits, perm))
+    elements = [(perm, reverse) for perm in itertools.permutations(range(n)) for reverse in (False, True)]
+    for (perm, reverse), words in zip(elements, _word_maps(n, elements)):
+        ends = [(perm[v], perm[u]) if reverse else (perm[u], perm[v]) for u, v in pairs]
+        yield [arc_index(n, *e) for e in ends], words
 
 
 @lru_cache(maxsize=None)
@@ -594,7 +588,7 @@ def _static_ensembles(n: int, p_list: list[float], mode: str | None, budget: int
     ``budget`` seeded draws equally, one ensemble per p. ``n``, ``p``,
     ``budget``, ``mode`` and one graph's bytes are checked at once; the
     result is an iterator that builds each ensemble only when the caller
-    asks for the next.
+    asks for the next, and is empty for an empty ``p_list``.
     """
     _check_qubits(n)
     for p in p_list:
@@ -624,7 +618,7 @@ def _static_ensembles(n: int, p_list: list[float], mode: str | None, budget: int
                 bits = sample_arc_bits(n, p, budget, np.random.SeedSequence(seed))
                 masks, counts = np.unique(bits @ (1 << np.arange(n * (n - 1))), return_counts=True)
                 yield _StaticEnsemble(n, masks, {p: counts / budget}, symmetrize=False)
-    return build()
+    return build() if p_list else iter(())
 
 
 def _identity_distance(n: int) -> float:
@@ -706,18 +700,16 @@ _QUBIT_FIXED = ((1, 2, 2, 4, 2), (1, 1, 1, 2, 0))
 _PAIR_FIXED = ((1, 2, 2, 4, 4), (1, 1, 1, 4, 4))
 
 
-def _group_image(words: np.ndarray, e: int, n: int) -> np.ndarray:
-    """Image of Pauli indices under the group element with bit mask ``e``.
+def _sector_maps(n: int) -> np.ndarray:
+    """Word maps (``_word_maps``) of the 2^(n//2 + 1) sector-group elements, row e for bit mask e.
 
-    Bit j < n // 2 swaps qubits 2j and 2j + 1; bit n // 2 swaps the letters
-    X and Z on every qubit (the global Hadamard without its Y signs). The
-    elements commute and each is its own inverse.
+    Bit j < n // 2 swaps qubits 2j and 2j + 1, and bit n // 2 swaps X and Z:
+    the subgroup of the ``_symmetries`` action generated by the disjoint
+    swaps and the Hadamard. The elements commute and each is its own inverse.
     """
-    lo = sum(3 << 4 * j for j in range(n // 2) if e >> j & 1)  # qubit 2j's digit of each swapped pair
-    out = words & ~(lo | lo << 2) | (words & lo) << 2 | (words >> 2) & lo
-    if e >> n // 2 & 1:
-        out ^= (out & sum(1 << 2 * q for q in range(n))) << 1  # letter 1 (X) <-> 3 (Z)
-    return out
+    m = n // 2
+    swaps = ([q ^ (e >> (q >> 1) & 1) if q < 2 * m else q for q in range(n)] for e in range(2 << m))
+    return np.stack(list(_word_maps(n, ((perm, e >> m & 1) for e, perm in enumerate(swaps)))))
 
 
 def _class_counts(ident: int, no_x: int, no_z: int, every: int, y: int) -> tuple[int, ...]:
@@ -729,7 +721,7 @@ def _class_counts(ident: int, no_x: int, no_z: int, every: int, y: int) -> tuple
 def _sector_dim(n: int, k: int, chi: int) -> int:
     """Dimension of sector ``chi`` of word class k, |G|^-1 sum_g chi(g) |Fix_k(g)|, without building words.
 
-    Class k's group G has the n // 2 swap bits of ``_group_image``, and on
+    Class k's group G has the n // 2 swap bits of ``_sector_maps``, and on
     classes 3 and 4 also the Hadamard bit; chi(e) = (-1)^|chi & e|. The
     fixed words of an element are a product over its qubits and swapped
     pairs, and the class counts are linear in the five ``_QUBIT_FIXED``
@@ -751,22 +743,22 @@ def _largest_sector(n: int) -> int:
     return max(_sector_dim(n, k, 0) for k in range(5))
 
 
-def _link_sectors(n: int, words: np.ndarray, pos: np.ndarray, k: int):
+def _link_sectors(n: int, maps: np.ndarray, words: np.ndarray, pos: np.ndarray, k: int):
     """Yield (chi, A_chi): the link sum A = sum of P_uv on word class k, in each nonempty sector chi.
 
-    ``words`` is class k and ``pos`` each word's position in its class.
-    The group G of ``_group_image`` (without the Hadamard bit on classes 0
-    to 2, which it swaps) commutes with A: a qubit swap relabels the links,
-    and the Hadamard maps P_uv to P_vu as the signed permutation +perm on
-    class 3 and -perm on class 4. Sector chi has the orthonormal basis
-    v_O = |O|^-1/2 sum_{t in O} chi(g_t) e_t over the orbits O whose
-    stabilizer chi is trivial on, where g_t maps O's least word r_O to t,
-    and A v_O = sum_l s_l(r_O) sqrt(|O| / |O'|) chi(g_t) v_O' with
-    t = pi_l(r_O) in orbit O'. So each sector matrix comes from the
-    n(n-1) link images of the representatives alone.
+    ``maps`` is ``_sector_maps(n)``, ``words`` class k and ``pos`` each word's
+    position in its class. The group G of ``maps`` (without the Hadamard bit
+    on classes 0 to 2, which it swaps) commutes with A: a qubit swap relabels
+    the links, and the Hadamard maps P_uv to P_vu as the signed permutation
+    +perm on class 3 and -perm on class 4. Sector chi has the orthonormal
+    basis v_O = |O|^-1/2 sum_{t in O} chi(g_t) e_t over the orbits O whose
+    stabilizer chi is trivial on, where g_t maps O's least word r_O to t, and
+    A v_O = sum_l s_l(r_O) sqrt(|O| / |O'|) chi(g_t) v_O' with t = pi_l(r_O)
+    in orbit O'. So each sector matrix comes from the n(n-1) link images of
+    the representatives alone.
     """
     order = 1 << (n // 2 + (k >= 3))
-    images = np.stack([_group_image(words, e, n) for e in range(order)])
+    images = maps[:order, words]
     rep = images.min(axis=0)
     reps, orbit, size = np.unique(rep, return_inverse=True, return_counts=True)
     g_of = (images == rep).argmax(axis=0)  # g_t, since g r_O = t exactly when g t = r_O
@@ -801,9 +793,9 @@ def _link_spectrum(n: int) -> np.ndarray:
     """
     n_arcs = n * (n - 1)
     parts = []
-    idxs, pos = _word_blocks(n)
+    (idxs, pos), maps = _word_blocks(n), _sector_maps(n)
     for k, words in enumerate(idxs):
-        for chi, A in _link_sectors(n, words, pos, k):
+        for chi, A in _link_sectors(n, maps, words, pos, k):
             lam = np.linalg.eigvalsh(A)
             if chi == 0:
                 if abs(lam[-1] - n_arcs) > 1e-9 * n_arcs:

@@ -185,8 +185,8 @@ def prob_disconnected_undirected(n: int, p: Prob) -> Prob:
 
     Summed from non-negative terms, not as ``1 - prob_connected_undirected``,
     so values far below the float resolution of 1 - x stay meaningful (at
-    large n the probability is dominated by a single isolated vertex and
-    can be ~1e-200 while still comparable against bounds).
+    large n one isolated vertex dominates, ~1e-200); its float terms hold
+    R(k), so at small p it cancels as R does.
     """
     with _SESSION_LOCK:
         return _session(p).prob_disconnected_undirected(n)
@@ -196,7 +196,8 @@ def prob_connected_undirected(n: int, p: Prob) -> Prob:
     """Probability that an undirected G(n, p) graph is connected.
 
     By conditioning on the component of a fixed vertex, P(n) = 1 -
-    sum_{k<n} C(n-1, k-1) P(k) (1-p)^(k(n-k)), the session's R(n).
+    sum_{k<n} C(n-1, k-1) P(k) (1-p)^(k(n-k)), the session's R(n). As a
+    float sum it cancels at small p, like P_C (``scripts/pc_accuracy.py``).
     """
     with _SESSION_LOCK:
         return _session(p).prob_connected_undirected(n)

@@ -179,24 +179,11 @@ def _strong_flags(planes: np.ndarray, n: int) -> np.ndarray:
 
 
 def _enumeration_planes(n: int) -> np.ndarray:
-    """Arc planes for the full enumeration: graph g = bit pattern of its mask."""
-    pairs = arc_pairs(n)
-    n_arcs = len(pairs)
-    n_graphs = 1 << n_arcs
-    words = max(1, n_graphs >> 6)
-    planes = np.empty((n_arcs, words), dtype=np.uint64)
-    for j in range(n_arcs):
-        if j < 6:
-            # bit j of the lane index: constant pattern within every word
-            word = sum(1 << i for i in range(64) if (i >> j) & 1)
-            planes[j] = np.uint64(word)
-        else:
-            run = 1 << (j - 6)
-            block = np.concatenate(
-                [np.zeros(run, dtype=np.uint64), np.full(run, ~np.uint64(0), dtype=np.uint64)]
-            )
-            planes[j] = np.tile(block, words // (2 * run))
-    return planes
+    """Arc planes for the full enumeration: lane g holds graph g, so plane j is bit j of the lane index."""
+    n_arcs = n * (n - 1)
+    lanes = np.arange(max(64, 1 << n_arcs), dtype=np.uint32)
+    planes = [np.packbits((lanes & (1 << j)) != 0, bitorder="little").view(np.uint64) for j in range(n_arcs)]
+    return np.array(planes, dtype=np.uint64).reshape(n_arcs, len(lanes) >> 6)
 
 
 @lru_cache(maxsize=None)
@@ -210,9 +197,7 @@ def strongly_connected_counts(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > BRUTEFORCE_MAX_N:
-        raise CostGuardError(
-            f"exhaustive enumeration refused for n={n} (max {BRUTEFORCE_MAX_N})"
-        )
+        raise CostGuardError(f"exhaustive enumeration refused for n={n} (max {BRUTEFORCE_MAX_N})")
     n_arcs = n * (n - 1)
     flags = _strong_flags(_enumeration_planes(n), n)
     bits = np.unpackbits(flags.view(np.uint8), bitorder="little")[: 1 << n_arcs]
@@ -400,8 +385,6 @@ def estimate_pc_monte_carlo(
     if n < 1:
         raise ValueError("n must be >= 1")
     threshold = int(mc_arc_prob(p) * _MC_P_GRID)
-    if n == 1:
-        return McEstimate(samples, samples, 1.0, *wilson_interval(samples, samples))
     chunk = _mc_chunk(n)
     if _plane_bytes(n, chunk) > MEMORY_BUDGET_BYTES:
         raise CostGuardError(

@@ -75,11 +75,11 @@ def link_sum_moments(n: int, w_id: float = 0.0, c: float = 1.0) -> tuple[float, 
     Built from the sparse CNOT actions alone: every nonzero entry is summed
     over the links that put it there; no matrix and no eigensolver.
     """
-    from randqnet.channels import _cnot_index_action
+    from randqnet.channels import _cnot_images
     from randqnet.digraph import arc_pairs
 
     dim = 4 ** n
-    perms, signs = zip(*(_cnot_index_action(n, u, v) for u, v in arc_pairs(n)))
+    perms, signs = zip(*(_cnot_images(np.arange(dim), u, v) for u, v in arc_pairs(n)))
     rows = np.concatenate([np.arange(dim), *perms])
     cols = np.tile(np.arange(dim), len(perms) + 1)
     vals = np.concatenate([np.full(dim, float(w_id)), *(c * s for s in signs)])

@@ -1,6 +1,7 @@
 """CNOT conjugation, transfer matrices, and asymptotic channel behavior."""
 
 import itertools
+import math
 import sys
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -256,6 +257,36 @@ def test_each_symmetry_moves_the_channel_by_its_word_map():
             assert np.array_equal(dense(image)[np.ix_(words, words)], dense(mask))
 
 
+def _moved_index(word: str, perm, reverse: bool) -> int:
+    # string oracle: the letter of qubit q moves to qubit perm[q], and X and
+    # Z swap when the element reverses
+    moved = [""] * len(word)
+    for q, letter in enumerate(word):
+        moved[perm[q]] = {"X": "Z", "Z": "X"}.get(letter, letter) if reverse else letter
+    return sum("IXYZ".index(letter) * 4 ** q for q, letter in enumerate(moved))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_word_maps_match_a_string_oracle(n):
+    # both symmetry reductions move words by _word_maps: every relabeling
+    # of _symmetries, and every element e of the sector group (bit j < n // 2
+    # swaps qubits 2j and 2j + 1, bit n // 2 reverses)
+    words = ["".join("IXYZ"[a >> 2 * q & 3] for q in range(n)) for a in range(4 ** n)]
+    elements = itertools.product(itertools.permutations(range(n)), (False, True))
+    checked = 0
+    for (perm, reverse), (_, word_map) in zip(elements, ch._symmetries(n), strict=True):
+        assert word_map.tolist() == [_moved_index(w, perm, reverse) for w in words]
+        checked += 1
+    m = n // 2
+    maps = ch._sector_maps(n)
+    assert maps.shape == (2 << m, 4 ** n)
+    for e, word_map in enumerate(maps):
+        perm = [q ^ 1 if q < 2 * m and e >> q // 2 & 1 else q for q in range(n)]
+        assert word_map.tolist() == [_moved_index(w, perm, bool(e >> m & 1)) for w in words]
+        checked += 1
+    assert checked == 2 * math.factorial(n) + (2 << m)
+
+
 def _link_ptm(n: int, control: int, target: int) -> np.ndarray:
     # dense signed permutation of one CNOT, column by column from cnot_conjugate
     P = np.zeros((4 ** n, 4 ** n))
@@ -329,7 +360,7 @@ def test_fixed_basis_is_orthogonal_with_closed_form_norms(n):
     assert set(np.unique(B)) <= {-1, 0, 1}
     # every basis vector is fixed by every CNOT
     for c, t in arc_pairs(n):
-        perm, sign = ch._cnot_index_action(n, c, t)
+        perm, sign = ch._cnot_images(np.arange(4 ** n), c, t)
         image = np.zeros_like(B)
         image[:, perm] = B * sign.astype(np.int64)
         assert np.array_equal(image, B)
@@ -384,7 +415,7 @@ def test_closed_form_class_sizes_match_the_classes_and_the_fixed_norms(n):
 def test_every_cnot_maps_each_word_block_onto_itself(n):
     idxs, _ = ch._word_blocks(n)
     for c, t in arc_pairs(n):
-        perm, _ = ch._cnot_index_action(n, c, t)
+        perm, _ = ch._cnot_images(np.arange(4 ** n), c, t)
         for idx in idxs:
             assert np.array_equal(np.sort(perm[idx]), idx)
 
@@ -437,10 +468,11 @@ def test_link_spectrum_moments_match_the_sparse_action(n):
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
 def test_sector_dimensions_match_the_character_formula(n):
     idxs, pos = ch._word_blocks(n)
+    maps = ch._sector_maps(n)
     for k, words in enumerate(idxs):
         order = 1 << (n // 2 + (k >= 3))
         formula = [ch._sector_dim(n, k, chi) for chi in range(order)]
-        built = {chi: len(A) for chi, A in ch._link_sectors(n, words, pos, k)}
+        built = {chi: len(A) for chi, A in ch._link_sectors(n, maps, words, pos, k)}
         assert sum(formula) == len(words)
         assert built == {chi: d for chi, d in enumerate(formula) if d}
 
@@ -458,9 +490,10 @@ def test_sector_generators_commute_with_the_link_sum(n):
     blocks = ch._word_blocks(n)
     idxs, pos = blocks
     views = ch._block_views(ch._link_sums(n, np.ones(n * (n - 1)), 0.0, blocks), blocks)
+    maps = ch._sector_maps(n)
     for k, (words, (A,)) in enumerate(zip(idxs, views)):
         for bit in range(n // 2 + (k >= 3)):
-            image = ch._group_image(words, 1 << bit, n)
+            image = maps[1 << bit, words]
             assert np.array_equal(np.sort(image), words)  # a permutation of the class
             P = np.zeros_like(A)
             P[pos[image], np.arange(len(words))] = 1.0
@@ -832,7 +865,8 @@ def test_dynamic_trace_below_the_float_range_of_its_square():
     mu = w_id + c * ch._link_spectrum(3)
     m = float(np.abs(mu).max())
     rows = convergence_trace(3, 0.95, "dynamic", 3000)
-    with localcontext(prec=60):
+    with localcontext() as ctx:
+        ctx.prec = 60
         last = int(Decimal(sys.float_info.min).ln() / Decimal(m).ln())
         assert Decimal(m) ** last >= Decimal(sys.float_info.min) > Decimal(m) ** (last + 1)
         assert rows[-1][0] == last
@@ -860,6 +894,17 @@ def test_static_traces_multi_p_consistent_with_single():
     for (r1, d1), (r2, d2) in zip(traces[0.6], single):
         assert r1 == r2
         assert d1 == pytest.approx(d2, rel=1e-12)
+
+
+def test_static_traces_of_an_empty_p_list_build_no_ensemble(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty p list must build no ensemble")
+
+    monkeypatch.setattr(ch, "_StaticEnsemble", refuse)
+    assert static_convergence_traces(3, [], 3) == {}
+    assert static_convergence_traces(5, [], 3, budget=5) == {}
+    with pytest.raises(ValueError, match=r"n must be >= 2"):  # the checks still run
+        static_convergence_traces(1, [], 3)
 
 
 def test_static_traces_repeated_p_give_one_trace():

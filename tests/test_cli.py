@@ -291,7 +291,8 @@ def test_evolve_dynamic_rows_match_exact_powers(capsys):
     assert [int(row["r"]) for row in rows] == list(range(121))
     power = np.eye(16, dtype=int).astype(object)
     wrong = []
-    with localcontext(prec=50):
+    with localcontext() as ctx:
+        ctx.prec = 50
         for row in rows:
             r = int(row["r"])
             square = int((power * power).sum()) - 5 * 64 ** r  # 64^r D(r)^2, exact

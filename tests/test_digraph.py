@@ -426,6 +426,18 @@ def test_mc_interval_contains_exact_value():
     assert 0 <= est.hits <= est.samples
 
 
+def test_mc_one_vertex_takes_the_general_path():
+    # no arcs: nothing is drawn and every lane is strongly connected, and
+    # the workers check holds as at every other n
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        estimate_pc_monte_carlo(1, 0.5, 10, workers=0)
+    for samples in (1, 65, 2 ** 18 + 77):
+        for workers in (1, 2):
+            est = estimate_pc_monte_carlo(1, 0.3, samples, seed=5, workers=workers)
+            assert est.hits == est.samples == samples
+            assert est.estimate == 1.0
+
+
 def test_mc_odd_sample_counts():
     est = estimate_pc_monte_carlo(3, 0.5, 12_345, seed=11)
     assert est.samples == 12_345
