@@ -708,8 +708,8 @@ def _sector_maps(n: int) -> np.ndarray:
     swaps and the Hadamard. The elements commute and each is its own inverse.
     """
     m = n // 2
-    swaps = ([q ^ (e >> (q >> 1) & 1) if q < 2 * m else q for q in range(n)] for e in range(2 << m))
-    return np.stack(list(_word_maps(n, ((perm, e >> m & 1) for e, perm in enumerate(swaps)))))
+    elements = [([q ^ (e >> q // 2 & 1) if q < 2 * m else q for q in range(n)], e >> m & 1) for e in range(2 << m)]
+    return np.stack(list(_word_maps(n, elements)))
 
 
 def _class_counts(ident: int, no_x: int, no_z: int, every: int, y: int) -> tuple[int, ...]:

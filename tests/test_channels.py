@@ -80,6 +80,13 @@ def test_cnot_conjugate_rejects_equal_control_target():
         cnot_conjugate("XX", 1, 1)
 
 
+def test_cnot_conjugate_takes_words_with_an_int64_index():
+    # the word goes through its index, which holds 31 letters at most
+    assert cnot_conjugate("X" * 31, 0, 30) == ch.SignedPauli("X" * 30 + "I", 1)
+    with pytest.raises(ValueError, match="31 letters"):
+        cnot_conjugate("X" * 32, 0, 31)
+
+
 def test_cnot_conjugate_is_involution():
     for word in ("".join(w) for w in itertools.product("IXYZ", repeat=2)):
         sp = cnot_conjugate(word, 0, 1)
