@@ -22,13 +22,16 @@ and every run.
 After the pairs, the tier-1 test suite runs once in each tree, parent
 first, with ``--durations=15``; the record keeps each side's wall time,
 exit code, summary line and 15 slowest test phases. The record also
-keeps each tree's ``src/**/*.py`` line count.
+keeps each tree's ``src/**/*.py`` line count, and its code-line count:
+the lines that are not blank, not only a comment and not in a docstring.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import glob
+import io
 import json
 import os
 import platform
@@ -37,6 +40,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 
 import numpy
 
@@ -72,6 +76,33 @@ def src_lines(root: str) -> int:
     for path in glob.glob(os.path.join(root, "src", "**", "*.py"), recursive=True):
         with open(path, encoding="utf-8") as fh:
             total += sum(1 for _ in fh)
+    return total
+
+
+def code_lines(source: str) -> int:
+    """Lines of Python ``source`` that hold a token other than a comment and are not in a docstring."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+              tokenize.ENCODING, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in layout:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docs)
+
+
+def src_code_lines(root: str) -> int:
+    """Code lines (``code_lines``) in the ``src/**/*.py`` files of the tree at ``root``."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "**", "*.py"), recursive=True):
+        with open(path, encoding="utf-8") as fh:
+            total += code_lines(fh.read())
     return total
 
 
@@ -159,6 +190,7 @@ def main() -> int:
         "how": "alternating parent/change runs, each in its own tree, one at a time; each value "
                "is the median over the passes of one run (scripts/bench_pair.py)",
         "src_lines": {side: src_lines(root) for side, root in roots.items()},
+        "src_code_lines": {side: src_code_lines(root) for side, root in roots.items()},
         "environment": {"nproc": os.cpu_count(), "python": platform.python_version(),
                         "numpy": numpy.__version__, "platform": platform.platform()},
         "workloads": {},

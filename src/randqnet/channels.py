@@ -104,8 +104,15 @@ _CNOT_T = (_XT ^ _XC ^ _ZT) + 2 * _ZT
 _CNOT_SIGN = 1 - 2 * (_XC & _ZT & (_XT ^ _ZC ^ 1))
 
 
+def _check_word_length(n: int) -> None:
+    """Refuse words whose index does not fit an int64: 4^31 - 1 is the largest that does."""
+    if n > 31:
+        raise ValueError("a word has an int64 index only up to 31 letters")
+
+
 def index_words(indices, n: int) -> np.ndarray:
     """Pauli words of an array of indices, as a numpy string array, built from base-4 digits."""
+    _check_word_length(n)
     digits = (np.asarray(indices)[..., None] >> (2 * np.arange(n))) & 3
     return np.frombuffer(PAULI_LETTERS.encode(), np.uint8)[digits].view(f"S{n}")[..., 0].astype(str)
 
@@ -133,8 +140,7 @@ def cnot_conjugate(word: str, control: int, target: int) -> SignedPauli:
         raise ValueError("control and target must differ")
     if not (0 <= control < n and 0 <= target < n):
         raise ValueError("control/target out of range")
-    if n > 31:
-        raise ValueError("a word has an int64 index only up to 31 letters")
+    _check_word_length(n)
     image, sign = _cnot_images(sum(PAULI_LETTERS.index(c) << 2 * q for q, c in enumerate(word)), control, target)
     return SignedPauli(index_to_word(int(image), n), int(sign))
 
@@ -250,10 +256,7 @@ def _average_weights(n: int, p: Prob) -> tuple[float, float]:
     if not 0 < float(p) < 1:
         raise ValueError("p must lie strictly in (0, 1)")
     n_arcs = n * (n - 1)
-    if isinstance(p, Fraction):
-        w_id = float((1 - p) ** n_arcs)
-    else:
-        w_id = (1.0 - float(p)) ** n_arcs
+    w_id = (1.0 - float(p)) ** n_arcs
     return w_id, (1.0 - w_id) / n_arcs
 
 

@@ -171,9 +171,7 @@ def _cmd_pc_mc(args) -> int:
         raise UsageError("--samples must be >= 1")
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
-    est = digraph.estimate_pc_monte_carlo(
-        args.n, p, args.samples, seed=args.seed, workers=args.threads
-    )
+    est = digraph.estimate_pc_monte_carlo(args.n, p, args.samples, seed=args.seed)
     sampled = digraph.mc_arc_prob(p)  # k / 65536
     if sampled != p:
         print(f"note: pc mc samples each arc at p = {sampled * 65536}/65536 = {float(sampled)!r}, "
@@ -298,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--p", default="1/2")
     m.add_argument("--samples", type=int, default=10 ** 6)
     m.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    m.add_argument("--threads", type=int, default=1)
+    m.add_argument("--threads", type=int, default=1,
+                   help="accepted (>= 1) for old command lines; starts no thread, the chunks run in turn")
     _add_io_flags(m)
     m.set_defaults(func=_cmd_pc_mc)
 

@@ -19,8 +19,6 @@ machine word; ``sample_arc_bits`` draws G(n, p) graphs in bulk.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -324,7 +322,7 @@ def _mc_chunk_hits(n: int, threshold: int, size: int, seed: np.random.SeedSequen
 
 
 def _plane_bytes(n: int, size: int) -> int:
-    """Bytes a worker holds for a ``size``-graph chunk: its arc plane and its block scratch.
+    """Bytes a ``size``-graph chunk holds while it is drawn: its arc plane and its block scratch.
 
     The scratch is at most six block-sized word arrays: the ties, a raw digit
     and, for the tied words, their indices, the low-byte chain, its next raw
@@ -336,8 +334,8 @@ def _plane_bytes(n: int, size: int) -> int:
 def _mc_chunk(n: int) -> int:
     """Graphs per chunk: the largest power of two up to ``_MC_CHUNK`` whose planes fit the budget.
 
-    It depends only on n, so the chunk seeds, and with them the hits, do not
-    depend on the number of workers. Every n <= 247 gets the full 2^18.
+    It depends only on n, so it fixes the chunk seeds, and with them the
+    hits, for a given (seed, samples). Every n <= 247 gets the full 2^18.
     """
     chunk = _MC_CHUNK
     while chunk > 64 and _plane_bytes(n, chunk) > MEMORY_BUDGET_BYTES:
@@ -345,29 +343,15 @@ def _mc_chunk(n: int) -> int:
     return chunk
 
 
-def _mc_workers(workers: int, chunks: int) -> int:
-    """Threads worth starting: no more than requested, than CPUs, or than chunks."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return min(workers, os.cpu_count() or 1, chunks)
-
-
-def estimate_pc_monte_carlo(
-    n: int,
-    p: Prob,
-    samples: int,
-    seed: int = 0,
-    workers: int = 1,
-) -> McEstimate:
+def estimate_pc_monte_carlo(n: int, p: Prob, samples: int, seed: int = 0) -> McEstimate:
     """Estimate the strong-connectivity probability of G(n, p) by sampling.
 
-    The sample budget is split into fixed-size chunks; chunk i draws from
-    the i-th child of ``SeedSequence(seed).spawn``, built when it is drawn,
-    so results are deterministic for a given (seed, samples) and
-    independent of ``workers``, each of which draws every workers-th chunk;
-    merging is plain count addition. A chunk is 2^18 graphs,
-    or the largest power of two below that fits the memory budget
-    (``_mc_chunk``).
+    The sample budget is split into fixed-size chunks, drawn one after the
+    other in the calling thread; chunk i draws from the i-th child of
+    ``SeedSequence(seed).spawn``, built when it is drawn, so results are
+    deterministic for a given (seed, samples) and merging is plain count
+    addition. A chunk is 2^18 graphs, or the largest power of two below
+    that fits the memory budget (``_mc_chunk``).
     Each arc compares a 16-bit variate with round(p * 65536)
     (``mc_arc_prob``), most significant digit first, one raw 64-bit word
     per binary digit and 64 graphs (``_bernoulli_planes``): the top byte
@@ -375,10 +359,9 @@ def estimate_pc_monte_carlo(
     ties. So p is realized on a 1/65536 grid (exact at the endpoints and
     for p = k/65536), a general p costs about 9.8 raw words per 64 arcs and
     p = 1/2 one. A chunk holds one plane of 8 bytes per arc and 64 graphs,
-    plus a scratch of a few 8192-word blocks. At most one thread per CPU
-    and per chunk is started, and no more than fit their chunks in
-    ``MEMORY_BUDGET_BYTES``; a run is refused before anything is drawn only
-    when one 64-graph chunk does not fit.
+    plus a scratch of a few 8192-word blocks, and only one chunk is held
+    at a time; a run is refused before anything is drawn only when one
+    64-graph chunk does not fit in ``MEMORY_BUDGET_BYTES``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -392,15 +375,8 @@ def estimate_pc_monte_carlo(
             f"for the smallest chunk of {chunk} graphs, over the "
             f"{MEMORY_BUDGET_BYTES / 1e9:.0f} GB guard"
         )
-    chunks = -(-samples // chunk)
-    workers = min(_mc_workers(workers, chunks), MEMORY_BUDGET_BYTES // _plane_bytes(n, chunk))
-    root = np.random.SeedSequence(seed)  # checks the seed before any thread starts
-
-    def strided_hits(first: int) -> int:
-        return sum(_mc_chunk_hits(n, threshold, min(chunk, samples - i * chunk),
-                                  np.random.SeedSequence(root.entropy, spawn_key=(i,)))
-                   for i in range(first, chunks, workers))
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        hits = sum(pool.map(strided_hits, range(workers)))
+    root = np.random.SeedSequence(seed)
+    hits = sum(_mc_chunk_hits(n, threshold, min(chunk, samples - i * chunk),
+                              np.random.SeedSequence(root.entropy, spawn_key=(i,)))
+               for i in range(-(-samples // chunk)))
     return McEstimate(samples, hits, hits / samples, *wilson_interval(hits, samples))

@@ -24,6 +24,7 @@ from randqnet import (
     convergence_trace,
     hs_distance,
     index_to_word,
+    index_words,
     state_mixed,
     state_plus,
     state_zero,
@@ -65,6 +66,22 @@ def test_word_index_round_trip(n, data):
 
 def test_all_identity_word_is_index_zero():
     assert index_to_word(0, 3) == "III"
+
+
+def test_words_past_31_letters_are_refused(monkeypatch):
+    # 4^31 - 1 is the largest index an int64 holds; longer words are refused
+    # by one check, and cnot_conjugate refuses before it computes an image
+    assert index_to_word(4 ** 31 - 1, 31) == "Z" * 31
+
+    def no_images(*args):
+        raise AssertionError("computed a CNOT image of a 32-letter word")
+
+    monkeypatch.setattr(ch, "_cnot_images", no_images)
+    refusals = (lambda: index_to_word(4 ** 32 - 1, 32), lambda: index_words([0], 32),
+                lambda: cnot_conjugate("X" * 32, 0, 31))
+    for call in refusals:
+        with pytest.raises(ValueError, match="^a word has an int64 index only up to 31 letters$"):
+            call()
 
 
 # --- CNOT conjugation ---------------------------------------------------------------

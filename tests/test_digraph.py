@@ -1,7 +1,7 @@
 """Graph type, sampling, the test-side SCC oracle, and the two package oracles."""
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+import threading
 import tracemalloc
 
 import numpy as np
@@ -232,28 +232,23 @@ def test_mc_endpoints_are_exact():
 
 
 def test_mc_deterministic_and_worker_independent():
-    # 600 000 samples are three 2^18-graph chunks, so workers=3 runs three threads
+    # 600 000 samples are three 2^18-graph chunks
     assert -(-600_000 // digraph_module._MC_CHUNK) == 3
     a = estimate_pc_monte_carlo(5, 0.4, 600_000, seed=99)
     b = estimate_pc_monte_carlo(5, 0.4, 600_000, seed=99)
-    c = estimate_pc_monte_carlo(5, 0.4, 600_000, seed=99, workers=3)
-    assert (a.hits, a.lo, a.hi) == (b.hits, b.lo, b.hi) == (c.hits, c.lo, c.hi)
+    assert (a.hits, a.lo, a.hi) == (b.hits, b.lo, b.hi)
     d = estimate_pc_monte_carlo(5, 0.4, 600_000, seed=100)
     assert d.hits != a.hits
 
 
-def test_mc_workers_clamped_to_cpus_and_chunks(monkeypatch):
-    # a pure function of the request: no thread is started here
-    monkeypatch.setattr(digraph_module.os, "cpu_count", lambda: 4)
-    assert digraph_module._mc_workers(1, 100) == 1
-    assert digraph_module._mc_workers(3, 100) == 3
-    assert digraph_module._mc_workers(10_000, 100) == 4
-    assert digraph_module._mc_workers(10_000, 2) == 2
-    monkeypatch.setattr(digraph_module.os, "cpu_count", lambda: None)
-    assert digraph_module._mc_workers(8, 100) == 1
-    for bad in (0, -3):
-        with pytest.raises(ValueError):
-            digraph_module._mc_workers(bad, 100)
+def test_mc_starts_no_thread(monkeypatch):
+    # three chunks, the last one ragged, drawn in the calling thread; the
+    # hits are those the estimator gave with one, two and three workers
+    def no_thread(self):
+        raise AssertionError("started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert estimate_pc_monte_carlo(5, 0.4, 600_000, seed=99).hits == 171447
 
 
 def test_mc_memory_guard_refuses_before_drawing(monkeypatch):
@@ -272,7 +267,7 @@ def test_mc_memory_guard_refuses_before_drawing(monkeypatch):
 
 def test_mc_chunk_sized_from_memory_budget(monkeypatch):
     # the plan only, nothing is drawn: 1 plane x 8 B x 89 700 arcs x 2^18/64
-    # words = 2.9 GB, so n = 300 runs 2^17-graph chunks of 1.5 GB, one at a time
+    # words = 2.9 GB, so n = 300 runs 2^17-graph chunks of 1.5 GB
     assert [digraph_module._mc_chunk(n) for n in (2, 120, 247)] == [1 << 18] * 3
     assert [digraph_module._mc_chunk(n) for n in (248, 300)] == [1 << 17] * 2
     chunk_sizes = []
@@ -282,45 +277,29 @@ def test_mc_chunk_sized_from_memory_budget(monkeypatch):
         return int(seed.generate_state(1)[0]) % (size + 1)
 
     monkeypatch.setattr(digraph_module, "_mc_chunk_hits", seeded_hits)
-    monkeypatch.setattr(digraph_module.os, "cpu_count", lambda: 4)
-    one = estimate_pc_monte_carlo(300, 0.5, 10 ** 6, seed=1)
+    estimate_pc_monte_carlo(300, 0.5, 10 ** 6, seed=1)
     assert chunk_sizes == [1 << 17] * 7 + [10 ** 6 - 7 * (1 << 17)]
-    two = estimate_pc_monte_carlo(300, 0.5, 10 ** 6, seed=1, workers=2)
-    assert sorted(chunk_sizes[8:]) == sorted(chunk_sizes[:8])
-    assert one.hits == two.hits
 
 
 def test_mc_memory_guard_admits_n120_with_one_worker(monkeypatch):
     # the estimate only, nothing is drawn: 1 plane x 8 B x 14 280 arcs x
-    # 4096 words = 0.47 GB per chunk fits four times, not five
+    # 4096 words = 0.47 GB per chunk
     chunk_sizes = []
-    pools = []
 
     def record_chunk(n, threshold, size, seed):
         chunk_sizes.append(size)
         return 0
 
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
     monkeypatch.setattr(digraph_module, "_mc_chunk_hits", record_chunk)
-    monkeypatch.setattr(digraph_module, "ThreadPoolExecutor", RecordingPool)
     est = estimate_pc_monte_carlo(120, 0.5, 10 ** 6, seed=1)
     assert est.samples == 10 ** 6
     assert chunk_sizes == [1 << 18] * 3 + [10 ** 6 - 3 * (1 << 18)]
-    assert pools == [1]  # one path: a single worker still runs its chunks through a pool
-    # five requested workers, with eight chunks and CPUs, are clamped to the four whose chunks fit
-    monkeypatch.setattr(digraph_module.os, "cpu_count", lambda: 8)
-    estimate_pc_monte_carlo(120, 0.5, 2 * 10 ** 6, seed=1, workers=5)
-    assert pools == [1, 4]
 
 
 def test_mc_keeps_no_per_chunk_state(monkeypatch):
     # 20 000 chunks, nothing drawn: each chunk's seed is built when the chunk
-    # is drawn, and each worker runs one strided range of chunks; a spawned
-    # seed list with a plan and a future per chunk traced about 40 MB here
+    # is drawn; a spawned seed list with a plan and a future per chunk
+    # traced about 40 MB
     seeds = []
 
     def record_chunk(n, threshold, size, seed):
@@ -330,15 +309,14 @@ def test_mc_keeps_no_per_chunk_state(monkeypatch):
 
     monkeypatch.setattr(digraph_module, "_mc_chunk_hits", record_chunk)
     samples = 20_000 * digraph_module._mc_chunk(7)
-    for workers in (1, 2):
-        tracemalloc.start()
-        try:
-            est = estimate_pc_monte_carlo(7, 0.5, samples, seed=3, workers=workers)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert est.hits == samples
-        assert peak < 4e6
+    tracemalloc.start()
+    try:
+        est = estimate_pc_monte_carlo(7, 0.5, samples, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.hits == samples
+    assert peak < 4e6
     assert seeds[:3] == [(0,), (1,), (2,)]
 
 
@@ -427,15 +405,11 @@ def test_mc_interval_contains_exact_value():
 
 
 def test_mc_one_vertex_takes_the_general_path():
-    # no arcs: nothing is drawn and every lane is strongly connected, and
-    # the workers check holds as at every other n
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        estimate_pc_monte_carlo(1, 0.5, 10, workers=0)
+    # no arcs: nothing is drawn and every lane is strongly connected
     for samples in (1, 65, 2 ** 18 + 77):
-        for workers in (1, 2):
-            est = estimate_pc_monte_carlo(1, 0.3, samples, seed=5, workers=workers)
-            assert est.hits == est.samples == samples
-            assert est.estimate == 1.0
+        est = estimate_pc_monte_carlo(1, 0.3, samples, seed=5)
+        assert est.hits == est.samples == samples
+        assert est.estimate == 1.0
 
 
 def test_mc_odd_sample_counts():
