@@ -40,14 +40,15 @@ of A per n serves every p. It is taken one symmetry sector at a time
 (``_link_sectors``): the sector group, the subgroup of the ``_symmetries``
 action generated by the disjoint qubit swaps (0 1), (2 3), ... and the
 global Hadamard letter swap, commutes with A, and each of its characters
-gives one small matrix per block. A static network keeps one unknown graph,
-so its r-th iterate is the ensemble average of the per-graph powers M_g^r,
-held per block for all graphs in one array: exact, from one representative
-per class of graphs up to relabeling and reversal, up to
-``STATIC_EXHAUSTIVE_MAX_N`` qubits, and over seeded graph draws above.
-``_static_ensembles`` is the one place that picks between the two; it
-refuses before any draw when one graph's blocks (``_static_graph_bytes``)
-exceed ``MEMORY_BUDGET_BYTES``, and the ensemble when all its graphs do.
+gives one small matrix per block, up to ``DYNAMIC_MAX_N`` qubits. A static
+network keeps one unknown graph, so its r-th iterate is the ensemble
+average of the per-graph powers M_g^r, held per block for all graphs in
+one array: exact, from one representative per class of graphs up to
+relabeling and reversal, up to ``STATIC_EXHAUSTIVE_MAX_N`` qubits, and
+over seeded graph draws above. ``_static_ensembles`` is the one place
+that picks between the two; it refuses before any draw when one graph's
+blocks (``_static_graph_bytes``) or the draw exceed ``MEMORY_BUDGET_BYTES``,
+and the ensemble when all its distinct graphs do.
 """
 
 from __future__ import annotations
@@ -299,8 +300,9 @@ def _word_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _class_sizes(n: int) -> tuple[int, ...]:
-    """Words in each class (``_class_counts`` of all 4^n words): 1, K, K, K(K-1)/2, 2^(n-1) K; K = 2^n - 1."""
-    return _class_counts(*(a ** n for a in _QUBIT_FIXED[0]))
+    """Words in each class (``_word_classes``): 1, K, K, K(K-1)/2 and 2^(n-1) K, with K = 2^n - 1."""
+    K = 2 ** n - 1
+    return 1, K, K, K * (K - 1) // 2, K << (n - 1)
 
 
 def _word_blocks(n: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -357,8 +359,10 @@ def asymptotic_state(n: int, rho: np.ndarray) -> np.ndarray:
 
     Sums b_k (b_k . rho) / |b_k|^2 over the five classes with one
     ``bincount``; no 4^n x 4^n map and no 5 x 4^n basis is formed. A zero
-    coefficient is +0.0, whatever its word's sign.
+    coefficient is +0.0, whatever its word's sign. ``rho``'s shape is checked first.
     """
+    if np.shape(rho) != (4 ** n,):
+        raise ValueError(f"rho must have shape ({4 ** n},) for n={n}, got {np.shape(rho)}")
     label, sign, sizes = _limit_classes(n)
     coef = np.bincount(label, weights=sign * rho, minlength=5) / sizes
     return coef[label] * sign + 0.0  # -0.0 + 0.0 is +0.0
@@ -589,9 +593,9 @@ def _static_ensembles(n: int, p_list: list[float], mode: str | None, budget: int
     to relabeling and reversal by p^|E| (1-p)^(n(n-1)-|E|) (arcless graphs
     apply the identity), one ensemble for all p; ``sampled`` weighs
     ``budget`` seeded draws equally, one ensemble per p. ``n``, ``p``,
-    ``budget``, ``mode`` and one graph's bytes are checked at once; the
-    result is an iterator that builds each ensemble only when the caller
-    asks for the next, and is empty for an empty ``p_list``.
+    ``budget``, ``mode`` and the bytes of one graph and of the draw are
+    checked at once; the result is an iterator that builds each ensemble
+    only when the caller asks for the next, and is empty for no p.
     """
     _check_qubits(n)
     for p in p_list:
@@ -604,10 +608,12 @@ def _static_ensembles(n: int, p_list: list[float], mode: str | None, budget: int
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exhaustive" and n > STATIC_EXHAUSTIVE_MAX_N:
         raise CostGuardError(f"exhaustive static average refused for n={n} (max {STATIC_EXHAUSTIVE_MAX_N})")
-    per_graph = _static_graph_bytes(n)
-    if per_graph > MEMORY_BUDGET_BYTES:
-        raise CostGuardError(f"static ensemble at n={n} needs ~{per_graph / 1e9:.1f} GB per graph, over "
-                             f"the {MEMORY_BUDGET_BYTES / 1e9:.0f} GB guard")
+    # a draw holds a double and a bool per arc slot and two int64 masks per graph
+    draw = budget * (9 * n * (n - 1) + 16) if mode == "sampled" else 0
+    for need, what in ((_static_graph_bytes(n), "per graph"), (draw, f"to draw {budget} graphs")):
+        if need > MEMORY_BUDGET_BYTES:
+            raise CostGuardError(f"static ensemble at n={n} needs ~{need / 1e9:.1f} GB {what}, over "
+                                 f"the {MEMORY_BUDGET_BYTES / 1e9:.0f} GB guard")
     if mode == "exhaustive":
         def build():
             classes = _iso_classes(n)
@@ -694,13 +700,7 @@ def static_convergence_traces(
 # Dynamic spectrum, one symmetry sector at a time
 # ---------------------------------------------------------------------------
 
-DYNAMIC_SECTOR_MAX = 4096  # largest sector matrix: 2551 words at n = 8, 10094 at n = 9
-
-# Letters of one qubit, or (a, image of a) of one swapped pair, that a group
-# element fixes, counted five ways: all I, no X bit, no Z bit, all, and even
-# minus odd Y count; [without, with] the letter swap X <-> Z.
-_QUBIT_FIXED = ((1, 2, 2, 4, 2), (1, 1, 1, 2, 0))
-_PAIR_FIXED = ((1, 2, 2, 4, 4), (1, 1, 1, 4, 4))
+DYNAMIC_MAX_N = 8  # its largest sector matrix holds 2551 words, against 10094 at n = 9
 
 
 def _sector_maps(n: int) -> np.ndarray:
@@ -713,37 +713,6 @@ def _sector_maps(n: int) -> np.ndarray:
     m = n // 2
     elements = [([q ^ (e >> q // 2 & 1) if q < 2 * m else q for q in range(n)], e >> m & 1) for e in range(2 << m)]
     return np.stack(list(_word_maps(n, elements)))
-
-
-def _class_counts(ident: int, no_x: int, no_z: int, every: int, y: int) -> tuple[int, ...]:
-    """Words of each class in a set of words, from its five ``_QUBIT_FIXED`` tallies."""
-    odd = (every - y) // 2
-    return ident, no_x - ident, no_z - ident, every - no_x - no_z + ident - odd, odd
-
-
-def _sector_dim(n: int, k: int, chi: int) -> int:
-    """Dimension of sector ``chi`` of word class k, |G|^-1 sum_g chi(g) |Fix_k(g)|, without building words.
-
-    Class k's group G has the n // 2 swap bits of ``_sector_maps``, and on
-    classes 3 and 4 also the Hadamard bit; chi(e) = (-1)^|chi & e|. The
-    fixed words of an element are a product over its qubits and swapped
-    pairs, and the class counts are linear in the five ``_QUBIT_FIXED``
-    tallies, so the sum over the swaps factorizes pair by pair: a pair in
-    chi contributes (qubit^2 - pair), any other (qubit^2 + pair).
-    """
-    m = n // 2
-    j = (chi & ((1 << m) - 1)).bit_count()
-    total = 0
-    for h in (0, 1) if k >= 3 else (0,):
-        tallies = (a ** (n - 2 * m) * (a * a + b) ** (m - j) * (a * a - b) ** j
-                   for a, b in zip(_QUBIT_FIXED[h], _PAIR_FIXED[h]))
-        total += (-1) ** (h & chi >> m) * _class_counts(*tallies)[k]
-    return total >> (m + (k >= 3))
-
-
-def _largest_sector(n: int) -> int:
-    """Words in the largest sector: a trivial one, since |chi| <= 1 and |Fix| >= 0."""
-    return max(_sector_dim(n, k, 0) for k in range(5))
 
 
 def _link_sectors(n: int, maps: np.ndarray, words: np.ndarray, pos: np.ndarray, k: int):
@@ -822,15 +791,13 @@ def _dynamic_trace(n: int, p: Prob, r_max: int):
     over ``_link_spectrum(n)``, shared by every p. The sum is taken as
     D(r) = m^r sqrt(sum (mu/m)^(2r)) with m = max |mu|, so it holds no
     subnormal term that matters; the trace ends before m^r leaves the
-    normal float range. Refuses, before anything is built, when the largest
-    sector holds more than ``DYNAMIC_SECTOR_MAX`` words.
+    normal float range. Refuses n > ``DYNAMIC_MAX_N`` before anything is
+    built: the largest sector grows with n, to 10094 words at n = 9.
     """
     _check_qubits(n)
-    largest = _largest_sector(n)
-    if largest > DYNAMIC_SECTOR_MAX:
-        words = largest if largest.bit_length() <= 64 else f"about 2^{largest.bit_length() - 1}"
-        raise CostGuardError(f"dynamic evolution refused for n={n}: its largest symmetry sector holds "
-                             f"{words} words (max {DYNAMIC_SECTOR_MAX})")
+    if n > DYNAMIC_MAX_N:
+        raise CostGuardError(f"dynamic evolution refused for n={n} (max {DYNAMIC_MAX_N}): above it the "
+                             "largest symmetry sector holds over 10000 words")
     yield 0, _identity_distance(n)
     if r_max < 1:
         return

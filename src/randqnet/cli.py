@@ -21,7 +21,6 @@ import contextlib
 import json
 import math
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -72,9 +71,8 @@ def _fmt(value, precision: int) -> str:
 
 
 def _fmt_fixed(value, decimals: int) -> str:
-    """Round half away from zero to ``decimals`` places in exact integers; a float as its ``repr``."""
-    exact = value if isinstance(value, Fraction) else Decimal(repr(float(value)))
-    num, den = exact.as_integer_ratio()
+    """Round the exact value of a float or a ``Fraction`` half away from zero to ``decimals`` places."""
+    num, den = Fraction(value).as_integer_ratio()
     whole, frac = divmod((2 * abs(num) * 10 ** decimals + den) // (2 * den), 10 ** decimals)
     sign = "-" if num < 0 else ""
     return f"{sign}{whole}.{frac:0{decimals}d}" if decimals else f"{sign}{whole}"

@@ -489,13 +489,30 @@ def test_link_spectrum_moments_match_the_sparse_action(n):
     assert (spectrum ** 2).sum() == pytest.approx(frob2 - 5 * n_arcs ** 2, rel=1e-12)
 
 
+def _character_dimensions(n, maps, k, words):
+    """Dimension of every sector chi of class k, |G|^-1 sum_e chi(e) #{w in class k : e w = w}.
+
+    G has the n // 2 swap bits of the sector maps, and on classes 3 and 4
+    also the Hadamard bit; chi(e) = (-1)^|chi & e|, and e acts by its
+    unsigned word map.
+    """
+    order = 1 << (n // 2 + (k >= 3))
+    fixed = [int((maps[e, words] == words).sum()) for e in range(order)]
+    dims = []
+    for chi in range(order):
+        total = sum((-1) ** bin(chi & e).count("1") * f for e, f in enumerate(fixed))
+        assert total % order == 0
+        dims.append(total // order)
+    return dims
+
+
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7))
 def test_sector_dimensions_match_the_character_formula(n):
+    # the built sectors are exactly the nonzero terms of the character formula
     idxs, pos = ch._word_blocks(n)
     maps = ch._sector_maps(n)
     for k, words in enumerate(idxs):
-        order = 1 << (n // 2 + (k >= 3))
-        formula = [ch._sector_dim(n, k, chi) for chi in range(order)]
+        formula = _character_dimensions(n, maps, k, words)
         built = {chi: len(A) for chi, A in ch._link_sectors(n, maps, words, pos, k)}
         assert sum(formula) == len(words)
         assert built == {chi: d for chi, d in enumerate(formula) if d}
@@ -503,10 +520,28 @@ def test_sector_dimensions_match_the_character_formula(n):
 
 @pytest.mark.parametrize("n, largest", ((4, 25), (5, 100), (6, 257), (7, 1010), (8, 2551), (9, 10094)))
 def test_largest_sector(n, largest):
-    assert ch._largest_sector(n) == largest
-    K = 2 ** n - 1
-    for k, size in enumerate((1, K, K, K * (2 ** (n - 1) - 1), K * 2 ** (n - 1))):
-        assert sum(ch._sector_dim(n, k, chi) for chi in range(1 << (n // 2 + (k >= 3)))) == size
+    # the largest sector is a trivial one (|chi| <= 1); it grows with n, and
+    # evolve dynamic stops at the last n below 10000 words
+    idxs, _ = ch._word_blocks(n)
+    maps = ch._sector_maps(n)
+    assert max(_character_dimensions(n, maps, k, words)[0] for k, words in enumerate(idxs)) == largest
+    assert (n <= ch.DYNAMIC_MAX_N) == (largest < 10000)
+
+
+def test_static_draw_is_refused_before_drawing(monkeypatch):
+    # a sampled draw holds a double and a bool per arc slot and two int64
+    # masks per graph: 196 bytes at n = 5, so --budget 10^9 needs ~196 GB
+    def draw(*args):
+        raise AssertionError("drawn")
+
+    monkeypatch.setattr(ch, "sample_arc_bits", draw)
+    with pytest.raises(CostGuardError, match=r"n=5 needs ~196.0 GB to draw 1000000000 graphs, over"):
+        static_convergence_traces(5, [0.5], 1, budget=10 ** 9)
+    fits = ch.MEMORY_BUDGET_BYTES // 196
+    with pytest.raises(CostGuardError, match="to draw"):
+        ch._static_ensembles(5, [0.5], "sampled", fits + 1, 0)  # refused before the iterator
+    with pytest.raises(AssertionError, match="drawn"):
+        next(ch._static_ensembles(5, [0.5], "sampled", fits, 0))
 
 
 @pytest.mark.parametrize("n", (3, 4))
@@ -544,6 +579,18 @@ def test_asymptotic_state_holds_a_few_arrays_of_its_input_size():
         tracemalloc.stop()
     assert np.array_equal(sigma, rho)
     assert peak < 8 * rho.nbytes
+
+
+def test_asymptotic_state_checks_the_shape_before_any_table(monkeypatch):
+    # the class tables alone would need about 34 GB at n = 16
+    def tables(n):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(ch, "_word_classes", tables)
+    with pytest.raises(ValueError, match=r"rho must have shape \(64,\) for n=3, got \(5,\)"):
+        asymptotic_state(3, np.zeros(5))
+    with pytest.raises(ValueError, match="n=16"):
+        asymptotic_state(16, np.zeros(4))
 
 
 @pytest.mark.parametrize("n", range(2, 8))

@@ -10,10 +10,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from randqnet import (asymptotic_state, index_to_word, prob_strongly_connected, state_mixed, state_plus,
-                      state_zero)
+from randqnet import (asymptotic_state, channels, index_to_word, prob_strongly_connected, state_mixed,
+                      state_plus, state_zero)
 from randqnet.channels import _average_weights
-from randqnet.cli import EXIT_COST, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from randqnet.cli import EXIT_COST, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _fmt_fixed, main
 from conftest import dense_cnot, link_sum_moments, ptm_of_unitary
 
 
@@ -143,6 +143,14 @@ def test_pc_table_fixed_decimals_equal_the_exact_digits(capsys):
             value = prob_strongly_connected(int(row["n"]), Fraction(1, 2))
             exact = Decimal(value.numerator) / value.denominator
             assert row["p_c"] == str(exact.quantize(Decimal(10) ** -30, rounding=ROUND_HALF_UP))
+
+
+def test_fixed_decimals_round_the_exact_value_once():
+    # 0.285 is the float 0.28499999999999998, so it rounds down; an exact tie
+    # rounds half away from zero
+    assert _fmt_fixed(0.285, 2) == format(0.285, ".2f") == "0.28"
+    assert _fmt_fixed(Fraction(1, 8), 2) == "0.13"
+    assert _fmt_fixed(-0.125, 2) == "-0.13"
 
 
 def test_pc_table_prints_small_values_without_exponent(capsys):
@@ -317,10 +325,17 @@ def test_evolve_cost_guard(capsys):
     assert code == EXIT_COST
 
 
-def test_evolve_dynamic_refusal_names_the_largest_sector(capsys):
-    code, out, err = run_cli(capsys, "evolve", "dynamic", "--n", "9", "--rmax", "1")
-    assert code == EXIT_COST and out == ""
-    assert "n=9" in err and "10094 words" in err
+def test_evolve_dynamic_refusal_names_the_largest_sector(capsys, monkeypatch):
+    # the refusal comes at entry, before any sector is built
+    def maps(n):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(channels, "_sector_maps", maps)
+    for n in ("9", "40"):
+        code, out, err = run_cli(capsys, "evolve", "dynamic", "--n", n, "--rmax", "1")
+        assert code == EXIT_COST and out == ""
+        assert err == (f"refused: dynamic evolution refused for n={n} (max 8): above it the largest "
+                       "symmetry sector holds over 10000 words\n")
 
 
 def test_evolve_static_n7_is_refused(capsys):
