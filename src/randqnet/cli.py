@@ -4,11 +4,12 @@ Commands emit CSV (default) or JSON tables with deterministic content for
 a fixed flag set and seed. Probabilities may be given as exact rationals
 ("1/2") or decimals ("0.5"). ``pc table`` and ``pc curve`` take every
 P_C row from ``_checked_pc_curve``: ``connectivity.pc_curve`` computes a
-rational p in big-rational arithmetic up to ``connectivity.EXACT_PC_MAX_N``
-vertices and any other p in floats, and a float curve gets one note per p
-on stderr, one warning line if values lie outside [0, 1], and exit code 4
-if a value is nan or infinite. Beyond ``connectivity.FLOAT_PC_MAX_N``
-vertices the float path refuses with exit code 3.
+rational p exactly, in integer numerators over powers of its denominator,
+up to ``connectivity.EXACT_PC_MAX_N`` vertices and any other p in floats,
+and a float curve gets one note per p on stderr, one warning line if
+values lie outside [0, 1], and exit code 4 if a value is nan or infinite.
+Beyond ``connectivity.FLOAT_PC_MAX_N`` vertices the float path refuses
+with exit code 3. An exact value prints the digits of its exact value.
 
 Exit codes: 0 success, 2 usage, validation or file error, 3 cost-guard
 refusal, 4 internal numerical failure.
@@ -34,6 +35,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_COST = 3
 EXIT_NUMERIC = 4
+
+_LOG10_2 = math.log10(2)
 
 
 class UsageError(ValueError):
@@ -66,8 +69,36 @@ def _parse_prob_list(text: str) -> list[connectivity.Prob]:
 
 
 def _fmt(value, precision: int) -> str:
-    """A float or a ``Fraction`` to ``precision`` significant digits."""
-    return format(float(value), f".{precision}g")
+    """A float or a ``Fraction`` to ``precision`` significant digits, in the layout of ``format(x, 'g')``.
+
+    A ``Fraction`` is rounded from its exact value, half to even, as
+    ``format`` rounds the exact value of a float; so a ``Fraction`` that a
+    float holds exactly prints as that float does.
+    """
+    if not isinstance(value, Fraction):
+        return format(float(value), f".{precision}g")
+    digits = max(precision, 1)
+    num, den = abs(value.numerator), value.denominator
+    if num == 0:
+        return "0"
+    # 2^(bits - 1) < |value| < 2^(bits + 1), so the decimal exponent is exp or exp + 1
+    exp = math.floor((num.bit_length() - den.bit_length() - 1) * _LOG10_2)
+    if num * 10 ** max(-exp - 1, 0) >= den * 10 ** max(exp + 1, 0):
+        exp += 1
+    shift = digits - 1 - exp  # the significand is |value| * 10^shift, rounded
+    top, bottom = num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0)
+    mant, rem = divmod(top, bottom)
+    if 2 * rem > bottom or (2 * rem == bottom and mant % 2):
+        mant += 1
+    if mant == 10 ** digits:  # rounded up to the next power of ten
+        mant, exp = mant // 10, exp + 1
+    text, sign = str(mant), "-" if value < 0 else ""
+    if -4 <= exp < digits:  # fixed point
+        whole, frac = (text[:exp + 1], text[exp + 1:]) if exp >= 0 else ("0", "0" * (-exp - 1) + text)
+        frac = frac.rstrip("0")
+        return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+    frac = text[1:].rstrip("0")
+    return f"{sign}{text[0]}{'.' + frac if frac else ''}e{'-' if exp < 0 else '+'}{abs(exp):02d}"
 
 
 def _fmt_fixed(value, decimals: int) -> str:

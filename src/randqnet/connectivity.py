@@ -13,10 +13,12 @@ The core algorithm (see ``ConnectivitySession``) runs three recurrences
 over the number of vertices alone, O(n^2) operations to n: the undirected
 connectivity recurrence, a signed sum over the source strong components
 of a digraph, and the strong-connectivity recurrence built on that sum
-(Liskovets 1969; Wright 1971). One code path serves every number type, so
-the result is exact (``fractions.Fraction``) when ``p`` is a ``Fraction``
-and IEEE-754 binary64 when ``p`` is a float; ``pc_curve`` keeps a rational
-``p`` exact up to ``EXACT_PC_MAX_N``.
+(Liskovets 1969; Wright 1971). One set of recurrences serves every
+number type. For a ``Fraction`` p = a/b it runs on integer numerators over
+powers of b, and each value comes back as one exact ``fractions.Fraction``;
+for a float ``p`` it runs in IEEE-754 binary64, and for a ``Decimal`` in
+the context precision. ``pc_curve`` keeps a rational ``p`` exact up to
+``EXACT_PC_MAX_N``.
 
 The partition view of the same quantity (a non-strongly-connected digraph
 splits uniquely into at least two maximal strongly connected pieces whose
@@ -58,10 +60,8 @@ class ConnectivitySession:
     """Memoized evaluator of connectivity probabilities at a fixed edge probability.
 
     One session holds the memo tables for a single ``p``; distinct sessions
-    may be used freely from concurrent threads. All arithmetic happens in
-    the number type of ``p`` (exact for a ``Fraction``, binary64 for a
-    float) on one code path. With q = 1 - p and sums over 1 <= k < n, three
-    recurrences over n alone give every quantity:
+    may be used freely from concurrent threads. With q = 1 - p and sums over
+    1 <= k < n, three recurrences over n alone give every quantity:
 
     * R(n) = 1 - sum C(n-1, k-1) R(k) q^(k(n-k)), the probability that
       vertex 1 reaches every vertex, from the component of vertex 1: the
@@ -80,24 +80,39 @@ class ConnectivitySession:
     1 - R(n) is the sum R subtracts and 1 - P_C(n) = sum_eta - sum_P, so
     they stay accurate in floats where 1 - P_C(n) rounds to zero.
 
+    One loop runs the recurrences for every number type; only its
+    constants differ. A float or ``Decimal`` p runs them in its own type,
+    with b = 1 and c = q below. For a ``Fraction`` p = a/b the tables hold
+    integer numerators over the common denominator of their n, with
+    c = b - a: R(n) and 1 - R(n) times b^(n(n-1)/2), and eta(n), P_C(n) and
+    1 - P_C(n) times b^(n(n-1)). Then q^e = c^e / b^e, and the k-th term
+    of each sum is padded to that denominator: by b^((n-k)(n-k-1)/2) in
+    the R sum and b^((n-k)(n-1)) in the eta sum; the P_C sum needs no
+    padding. No gcd is taken until a query builds its one ``Fraction``.
+
     The tables are numpy arrays of dtype float64 for a float ``p`` and
-    object otherwise, indexed by n and grown in one batch to the n asked
-    for: O(n^2) arithmetic, one numpy pass per n over the sizes below it.
-    C(n, k) is formed as C(n-1, k-1) * n / k with the power multiplied in
-    before the ratio, so no float reads binomial row n, which overflows at
-    n = 1030. Products run left to right and sums through ``cumsum``, which
-    adds in sequence.
+    object (Python ints, or ``Decimal``) otherwise, indexed by n and grown
+    in one batch to the n asked for: O(n^2) arithmetic, one numpy pass per
+    n over the sizes below it. The integer route reads exact binomial rows.
+    The float and ``Decimal`` routes form C(n, k) as C(n-1, k-1) * n / k
+    with the power multiplied in before the ratio, so no float reads
+    binomial row n, which overflows at n = 1030. Products run left to right
+    and sums through ``cumsum``, which adds in sequence.
     """
 
     def __init__(self, p: Prob):
         if not 0 < p < 1:
             raise ValueError(f"edge probability must satisfy 0 < p < 1, got {p!r}")
         self.p = p
-        self.exact = isinstance(p, Fraction)
-        self._one = one = type(p)(1)
-        self._q = 1 - p  # probability that a given arc is absent
+        self.exact = isinstance(p, Fraction)  # perfbench/tracing.py reads it
+        if self.exact:  # integer numerators over powers of b, with c = b - a; see above
+            self._one, self._q = 1, p.denominator - p.numerator
+            self._bhalf = np.array([1, 1], object)  # b^(m(m-1)/2), the denominator of R(m)
+        else:
+            self._one, self._q = type(p)(1), 1 - p
+        one = self._one
         self._dtype = np.float64 if isinstance(p, float) else object
-        self._qpow = np.empty(0, self._dtype)  # q^e, each computed in Python as q ** e
+        self._qpow = np.empty(0, self._dtype)  # c^e (c = q unless exact), each computed in Python as c ** e
         self._binom: list[np.ndarray] = []  # row m holds C(m, j) for j = 0..m
         # R, 1 - R, eta, P_C and 1 - P_C; entry n belongs to n vertices, index 0 is a placeholder
         at_one = dict(reach=one, miss=one - one, eta=one, strong=one, disc=one - one)
@@ -105,19 +120,27 @@ class ConnectivitySession:
 
     def prob_strongly_connected(self, n: int) -> Prob:
         """Probability that G(n, p) is strongly connected."""
-        return self._fill(n)["strong"].item(n)
+        return self._value("strong", n)
 
     def prob_disconnected(self, n: int) -> Prob:
         """Probability that G(n, p) is not strongly connected (0 for n = 1)."""
-        return self._fill(n)["disc"].item(n)
+        return self._value("disc", n)
 
     def prob_connected_undirected(self, n: int) -> Prob:
         """Probability that an undirected G(n, p) graph is connected."""
-        return self._fill(n)["reach"].item(n)
+        return self._value("reach", n)
 
     def prob_disconnected_undirected(self, n: int) -> Prob:
         """Probability that an undirected G(n, p) graph is disconnected (0 for n = 1)."""
-        return self._fill(n)["miss"].item(n)
+        return self._value("miss", n)
+
+    def _value(self, name: str, n: int) -> Prob:
+        """Entry n of a table: as it is, or a numerator over its power of b as one ``Fraction``."""
+        value = self._fill(n)[name].item(n)
+        if not self.exact:
+            return value
+        half = self._bhalf[n]
+        return Fraction(value, half if name in ("reach", "miss") else half * half)
 
     @np.errstate(over="ignore", invalid="ignore")  # float cancellation may reach inf and nan
     def _fill(self, n: int) -> dict[str, np.ndarray]:
@@ -131,9 +154,17 @@ class ConnectivitySession:
         if n <= done:
             return self._tables
         binom, one = self._binom, self._one
-        ints = one * np.arange(n + 1).astype(self._dtype)  # 0, 1, ..., n in the type of p
-        for m in range(len(binom), n):  # C(m, j): c *= (m - j) / (j + 1), ratio by ratio
-            binom.append(np.cumprod(np.concatenate(([one], ints[m:0:-1] / ints[1:m + 1]))))
+        if self.exact:  # exact rows to row n, and b^(m(m-1)/2) = b^((m-1)(m-2)/2) * b^(m-1)
+            b = self.p.denominator
+            binom.extend(np.array([math.comb(m, j) for j in range(m + 1)], object)
+                         for m in range(len(binom), n + 1))
+            half = [*self._bhalf]
+            half.extend(half[-1] * b ** (m - 1) for m in range(len(half), n + 1))
+            self._bhalf = half = np.array(half, object)
+        else:
+            ints = one * np.arange(n + 1).astype(self._dtype)  # 0, 1, ..., n in the type of p
+            for m in range(len(binom), n):  # C(m, j): c *= (m - j) / (j + 1), ratio by ratio
+                binom.append(np.cumprod(np.concatenate(([one], ints[m:0:-1] / ints[1:m + 1]))))
         new = [self._q ** e for e in range(len(self._qpow), n * n // 4 + 1)]  # k(n - k) <= n^2 / 4
         self._qpow = qpow = np.concatenate((self._qpow, np.array(new, self._dtype)))
         tables = {k: np.concatenate((t, np.empty(n - done, self._dtype))) for k, t in self._tables.items()}
@@ -141,10 +172,17 @@ class ConnectivitySession:
         for m in range(done + 1, n + 1):
             k = np.arange(1, m)
             c, pw = binom[m - 1][:m - 1], qpow[k * (m - k)]
-            miss[m] = ((c * reach[1:m]) * pw).cumsum()[-1]
-            reach[m] = one - miss[m]
-            s_eta = (((c * pw) * (ints[m] / ints[1:m])) * eta[1:m]).cumsum()[-1]
-            eta[m] = one - s_eta
+            if self.exact:  # padding b^((m-k)(m-k-1)/2) and b^((m-k)(m-1)) = (b^(m-1))^(m-k)
+                pad = np.cumprod(np.full(m - 1, b ** (m - 1), object))[::-1]
+                w_reach, w_eta = pw * half[m - 1:0:-1], (binom[m][1:m] * pw) * pad
+                top_reach, top = half[m], half[m] * half[m]
+            else:  # b = 1: nothing padded, and C(m, k) = C(m-1, k-1) * m / k
+                w_reach, w_eta = pw, (c * pw) * (ints[m] / ints[1:m])
+                top_reach = top = one
+            miss[m] = ((c * reach[1:m]) * w_reach).cumsum()[-1]
+            reach[m] = top_reach - miss[m]
+            s_eta = (w_eta * eta[1:m]).cumsum()[-1]
+            eta[m] = top - s_eta
             s_strong = (((c * strong[1:m]) * (pw * pw)) * eta[m - 1:0:-1]).cumsum()[-1]
             strong[m] = eta[m] + s_strong
             disc[m] = s_eta - s_strong

@@ -4,7 +4,7 @@ import csv
 import io
 import json
 import time
-from decimal import ROUND_HALF_UP, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 from randqnet import (asymptotic_state, channels, index_to_word, prob_strongly_connected, state_mixed,
                       state_plus, state_zero)
 from randqnet.channels import _average_weights
-from randqnet.cli import EXIT_COST, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _fmt_fixed, main
+from randqnet.cli import EXIT_COST, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _fmt, _fmt_fixed, main
 from conftest import dense_cnot, link_sum_moments, ptm_of_unitary
 
 
@@ -151,6 +151,29 @@ def test_fixed_decimals_round_the_exact_value_once():
     assert _fmt_fixed(0.285, 2) == format(0.285, ".2f") == "0.28"
     assert _fmt_fixed(Fraction(1, 8), 2) == "0.13"
     assert _fmt_fixed(-0.125, 2) == "-0.13"
+
+
+def test_pc_curve_prints_the_digits_of_exact_values(capsys):
+    # P_C(2) at p = 1/3 is 1/9; its float holds 17 digits of 1/9, then others
+    code, out, _ = run_cli(capsys, "pc", "curve", "--p-list", "1/3", "--nmax", "6", "--precision", "25")
+    assert code == EXIT_OK
+    rows = parse_csv(out)
+    assert rows[1]["p_c"] == "0.1111111111111111111111111"
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = 25, ROUND_HALF_EVEN
+        for row in rows:
+            value = prob_strongly_connected(int(row["n"]), Fraction(1, 3))
+            assert Decimal(row["p_c"]) == Decimal(value.numerator) / value.denominator
+
+
+def test_exact_significant_digits_round_half_to_even():
+    # 0.025 and 0.075 are ties as rationals but not as floats
+    assert [_fmt(Fraction(1, 40), 1), _fmt(Fraction(3, 40), 1)] == ["0.02", "0.08"]
+    assert [_fmt(0.025, 1), _fmt(0.075, 1)] == ["0.03", "0.07"]
+    # a Fraction that a float holds exactly prints as the float, layout included
+    for x in (0.125, 2.5, -0.375, 1.0, 1e-05, 123456789.0, 2.0 ** -60, 0.1, 9.5, 999999.5):
+        for precision in (0, 1, 2, 6, 17, 25):
+            assert _fmt(Fraction(x), precision) == format(x, f".{precision}g"), (x, precision)
 
 
 def test_pc_table_prints_small_values_without_exponent(capsys):

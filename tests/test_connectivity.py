@@ -139,7 +139,7 @@ def test_float_path_matches_exact_path():
             assert abs(exact - approx) <= 1e-12
 
 
-@pytest.mark.parametrize("p", P_GRID + [Fraction(1, 100)])
+@pytest.mark.parametrize("p", P_GRID + [Fraction(1, 100), Fraction(1, 10 ** 50)])
 def test_factorization_equals_partition_sum_oracle(p):
     oracle = partition_sum_pc(12, p)
     session = ConnectivitySession(p)
@@ -236,7 +236,7 @@ def test_float_values_stay_close_to_a_decimal_session(p, name):
         assert abs(Fraction(getattr(session, name)(n)) - ref) <= Fraction(1, 10 ** 13) * ref, n
 
 
-@pytest.mark.parametrize("p", [HALF, Fraction(1, 3), Fraction(2, 3)])
+@pytest.mark.parametrize("p", [HALF, Fraction(1, 3), Fraction(2, 3), Fraction(1, 100), Fraction(1, 10 ** 50)])
 def test_exact_columns_equal_the_scalar_loop(p):
     session, ref = ConnectivitySession(p), ScalarReachSession(p)
     for name in QUANTITIES:
@@ -254,6 +254,41 @@ def test_growth_order_keeps_the_bits(p):
                     ("prob_disconnected", 30), ("prob_connected_undirected", 40),
                     ("prob_strongly_connected", 35), ("prob_disconnected_undirected", 5)]:
         assert repr(getattr(session, name)(n)) == repr(getattr(ref, name)(n)), (name, n)
+
+
+def test_exact_tables_hold_no_fraction(monkeypatch):
+    # the exact route runs on integer numerators: growing its tables builds
+    # no Fraction, and a query builds one, the value it returns
+    built = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    if hasattr(Fraction, "_from_coprime_ints"):  # where newer Pythons build arithmetic results
+        coprime = Fraction._from_coprime_ints
+
+        def counted_coprime(cls, *args):
+            built.append(args)
+            return coprime(*args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+    session = ConnectivitySession(HALF)
+    session._fill(30)
+    assert built == []
+    values = [getattr(session, name)(n) for name in QUANTITIES for n in range(1, 31)]
+    assert len(built) == len(values) == 120
+    monkeypatch.undo()
+    assert values[:12] == partition_sum_pc(12, HALF)[1:]
+
+
+def test_benchmark_reads_the_exact_flag_and_the_curve_type():
+    # perfbench/tracing.py labels P_C spans exact or float by these two
+    assert ConnectivitySession(HALF).exact is True
+    assert ConnectivitySession(0.5).exact is False
+    assert isinstance(pc_curve(15, HALF).p, Fraction)
 
 
 def test_float_path_at_its_limit(capsys):
