@@ -177,10 +177,10 @@ def _cmd_pc_curve(args) -> int:
     all_rows = []
     for p in p_list:
         curve = _checked_pc_curve(args.nmax, p)
-        rows = []
+        rows, ps = [], _prob_str(p)
         for n, val in curve.rows:
             bound = connectivity.lower_bound_pc(n, p) if n >= 2 else ""
-            rows.append((n, _prob_str(p), _fmt(val, args.precision),
+            rows.append((n, ps, _fmt(val, args.precision),
                          _fmt(bound, args.precision) if bound != "" else ""))
         if per_p:
             tag = str(p).replace("/", "-")
