@@ -22,6 +22,7 @@ import contextlib
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -92,7 +93,7 @@ def _fmt(value, precision: int) -> str:
         mant += 1
     if mant == 10 ** digits:  # rounded up to the next power of ten
         mant, exp = mant // 10, exp + 1
-    text, sign = str(mant), "-" if value < 0 else ""
+    text, sign = str(Decimal(mant)), "-" if value < 0 else ""  # str(int) refuses past 4300 digits
     if -4 <= exp < digits:  # fixed point
         whole, frac = (text[:exp + 1], text[exp + 1:]) if exp >= 0 else ("0", "0" * (-exp - 1) + text)
         frac = frac.rstrip("0")

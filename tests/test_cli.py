@@ -174,6 +174,8 @@ def test_exact_significant_digits_round_half_to_even():
     for x in (0.125, 2.5, -0.375, 1.0, 1e-05, 123456789.0, 2.0 ** -60, 0.1, 9.5, 999999.5):
         for precision in (0, 1, 2, 6, 17, 25):
             assert _fmt(Fraction(x), precision) == format(x, f".{precision}g"), (x, precision)
+    # past the 4300 digits that str() of an int allows
+    assert _fmt(Fraction(1, 9), 5000) == "0." + "1" * 5000
 
 
 def test_pc_table_prints_small_values_without_exponent(capsys):
