@@ -76,7 +76,7 @@ def _fmt(value, precision: int) -> str:
     ``format`` rounds the exact value of a float; so a ``Fraction`` that a
     float holds exactly prints as that float does.
     """
-    if not isinstance(value, Fraction):
+    if type(value) is not Fraction:  # isinstance would ask the numbers ABCs, ~70 ns a float row
         return format(float(value), f".{precision}g")
     digits = max(precision, 1)
     num, den = abs(value.numerator), value.denominator
