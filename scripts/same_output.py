@@ -4,9 +4,11 @@
         --also "pc table --p 1/100 --nmax 12 --precision 9"
 
 Runs each command of both workloads in ``perfbench/workloads.py`` (taken
-from CHANGE, read only), and every ``--also`` command, as ``python -m
-randqnet.cli ARGS`` from each tree's root with that tree's ``src`` on
-``PYTHONPATH``, one run at a time. Prints one line per command: the
+from CHANGE, read only), each ``randqnet ...`` line of CHANGE's README.md
+that does not write a file with ``--out``, and every ``--also`` command, as
+``python -m randqnet.cli ARGS`` from each tree's root with that tree's
+``src`` on ``PYTHONPATH``, one run at a time. The README lines reach paths
+the benchmark does not, such as the sampled static ensemble above n = 4. Prints one line per command: the
 sha256 of standard output and standard error and the exit code in each
 tree, and ``same`` or ``DIFF``. A command is ``DIFF`` if anything of that
 differs, or if it exits with a code the CLI does not use (0, 2, 3 and 4),
@@ -47,6 +49,9 @@ def main() -> int:
     import workloads
 
     commands = [list(cmd.argv) for name in workloads.WORKLOADS for cmd in workloads.commands(name, args.seed)]
+    with open(os.path.join(trees[1], "README.md"), encoding="utf-8") as fh:
+        readme = [shlex.split(line, comments=True) for line in fh if line.startswith("randqnet ")]
+    commands += [argv[1:] for argv in readme if "--out" not in argv]
     commands += [shlex.split(text) for text in args.also]
     differ = 0
     for argv in commands:

@@ -45,10 +45,11 @@ network keeps one unknown graph, so its r-th iterate is the ensemble
 average of the per-graph powers M_g^r, held per block for all graphs in
 one array: exact, from one representative per class of graphs up to
 relabeling and reversal, up to ``STATIC_EXHAUSTIVE_MAX_N`` qubits, and
-over seeded graph draws above. ``_static_ensembles`` is the one place
-that picks between the two; it refuses before any draw when one graph's
-blocks (``_static_graph_bytes``) or the draw exceed ``MEMORY_BUDGET_BYTES``,
-and the ensemble when all its distinct graphs do.
+over seeded graph draws above. n alone picks between the two, in
+``_static_ensembles``, the one place that branches on it; it refuses
+before any draw when one graph's blocks (``_static_graph_bytes``) or the
+draw exceed ``MEMORY_BUDGET_BYTES``, and the ensemble when all its
+distinct graphs do.
 """
 
 from __future__ import annotations
@@ -585,36 +586,31 @@ def _static_graph_bytes(n: int) -> int:
     return 3 * 8 * sum(m * m for m in _class_sizes(n))
 
 
-def _static_ensembles(n: int, p_list: list[float], mode: str | None, budget: int, seed: int):
+def _static_ensembles(n: int, p_list: list[float], budget: int, seed: int):
     """Ensembles whose averages give the static iterate at every p in ``p_list``.
 
-    ``mode=None`` is ``"exhaustive"`` up to ``STATIC_EXHAUSTIVE_MAX_N``
-    qubits and ``"sampled"`` above. ``exhaustive`` weighs the classes up
-    to relabeling and reversal by p^|E| (1-p)^(n(n-1)-|E|) (arcless graphs
-    apply the identity), one ensemble for all p; ``sampled`` weighs
-    ``budget`` seeded draws equally, one ensemble per p. ``n``, ``p``,
-    ``budget``, ``mode`` and the bytes of one graph and of the draw are
-    checked at once; the result is an iterator that builds each ensemble
-    only when the caller asks for the next, and is empty for no p.
+    n alone picks the ensemble. Up to ``STATIC_EXHAUSTIVE_MAX_N`` qubits it
+    is exhaustive: the classes up to relabeling and reversal weighed by
+    p^|E| (1-p)^(n(n-1)-|E|) (arcless graphs apply the identity), one
+    ensemble for all p. Above, it is sampled: ``budget`` seeded draws
+    weighed equally, one ensemble per p. ``n``, ``p``, ``budget`` and the
+    bytes of one graph and of the draw are checked at once; the result is
+    an iterator that builds each ensemble only when the caller asks for the
+    next, and is empty for no p.
     """
     _check_qubits(n)
     for p in p_list:
         closed_prob(p)
     if budget < 1:
         raise ValueError(f"the static ensemble needs at least one drawn graph (--budget), got {budget}")
-    if mode is None:
-        mode = "exhaustive" if n <= STATIC_EXHAUSTIVE_MAX_N else "sampled"
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exhaustive" and n > STATIC_EXHAUSTIVE_MAX_N:
-        raise CostGuardError(f"exhaustive static average refused for n={n} (max {STATIC_EXHAUSTIVE_MAX_N})")
+    exhaustive = n <= STATIC_EXHAUSTIVE_MAX_N
     # a draw holds a double and a bool per arc slot and two int64 masks per graph
-    draw = budget * (9 * n * (n - 1) + 16) if mode == "sampled" else 0
+    draw = 0 if exhaustive else budget * (9 * n * (n - 1) + 16)
     for need, what in ((_static_graph_bytes(n), "per graph"), (draw, f"to draw {budget} graphs")):
         if need > MEMORY_BUDGET_BYTES:
             raise CostGuardError(f"static ensemble at n={n} needs ~{need / 1e9:.1f} GB {what}, over "
                                  f"the {MEMORY_BUDGET_BYTES / 1e9:.0f} GB guard")
-    if mode == "exhaustive":
+    if exhaustive:
         def build():
             classes = _iso_classes(n)
             masks = [m for m, _ in classes]
@@ -639,22 +635,22 @@ def static_average_iterate(
     n: int,
     p: Prob,
     r: int,
-    mode: str | None = None,
     budget: int = 10_000,
     seed: int = 0,
 ) -> np.ndarray:
     """Average of the r-th channel power over graphs drawn once and then fixed.
 
-    ``exhaustive`` sums p^|E| (1-p)^(n(n-1)-|E|) M_g^r over every graph
-    (n <= 4; arcless graphs contribute the identity); ``sampled`` averages
-    over ``budget`` seeded graph draws with equal weights; ``None`` picks
-    exhaustive where it is allowed. The blocks are scattered into one dense
-    4^n x 4^n matrix. From n = 4 on one graph's blocks outweigh that
-    matrix, so the check of ``_static_ensembles`` refuses first, from n = 7.
+    n alone picks the ensemble (``_static_ensembles``): up to
+    ``STATIC_EXHAUSTIVE_MAX_N`` qubits the sum of p^|E| (1-p)^(n(n-1)-|E|)
+    M_g^r over every graph (arcless graphs contribute the identity), above
+    it the equal-weight average over ``budget`` seeded graph draws. The
+    blocks are scattered into one dense 4^n x 4^n matrix. From n = 4 on one
+    graph's blocks outweigh that matrix, so the check of
+    ``_static_ensembles`` refuses first, from n = 7.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    ensembles = _static_ensembles(n, [float(p)], mode, budget, seed)  # checks n, p, budget, mode and the bytes
+    ensembles = _static_ensembles(n, [float(p)], budget, seed)  # checks n, p, budget and the bytes
     if r == 0:
         return np.eye(4 ** n)  # every graph contributes M^0 = Id
     (ens,) = ensembles
@@ -667,25 +663,24 @@ def static_convergence_traces(
     n: int,
     p_list,
     r_max: int,
-    mode: str | None = None,
     budget: int = 10_000,
     seed: int = 0,
 ) -> dict:
     """Distance-to-limit traces of the static ensemble for several p at once.
 
     Returns {p: [(r, D)]} with D the Hilbert-Schmidt distance between the
-    ensemble-averaged r-th power and the asymptotic map; ``mode``,
-    ``budget`` and ``seed`` are as in ``static_average_iterate``. The
-    exhaustive per-graph powers do not depend on p, so all requested p
-    values share one sweep. Every graph's M^0 is Id, so D(0) is
-    ``_identity_distance(n)``, and the sweep starts from the bases at r = 1
-    and takes r_max - 1 steps.
+    ensemble-averaged r-th power and the asymptotic map; n picks the
+    ensemble, and ``budget`` and ``seed`` are as in
+    ``static_average_iterate``. The exhaustive per-graph powers do not
+    depend on p, so all requested p values share one sweep. Every graph's
+    M^0 is Id, so D(0) is ``_identity_distance(n)``, and the sweep starts
+    from the bases at r = 1 and takes r_max - 1 steps.
     """
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
     p_list = list(p_list)
     traces = {}
-    for ens in _static_ensembles(n, [float(p) for p in p_list], mode, budget, seed):
+    for ens in _static_ensembles(n, [float(p) for p in p_list], budget, seed):
         for r in range(r_max + 1):
             if r > 1:
                 ens.step()
@@ -819,8 +814,6 @@ def convergence_trace(
     p: Prob,
     mode: str,
     r_max: int,
-    budget: int = 10_000,
-    seed: int = 0,
     stop_below: float | None = None,
 ) -> list[tuple[int, float]]:
     """Distance D(r) between the r-th iterate and the asymptotic map, r = 0..r_max.
@@ -828,8 +821,8 @@ def convergence_trace(
     ``dynamic``: the graph is redrawn every step, so the r-th iterate is
     the r-th power of the averaged single-step channel. ``static``: one
     unknown graph is fixed throughout, so the r-th iterate is the ensemble
-    average of per-graph r-th powers (exhaustive up to
-    ``STATIC_EXHAUSTIVE_MAX_N`` qubits, ``budget`` seeded draws above).
+    average of per-graph r-th powers, over the ensemble that n picks
+    (``static_convergence_traces``, at its defaults).
     ``stop_below`` truncates the trace once D drops under the given value.
     A dynamic trace also ends before r_max where max|mu|^r, a factor of
     every later D(r), would leave the normal float range.
@@ -839,7 +832,7 @@ def convergence_trace(
     if mode == "dynamic":
         trace = _dynamic_trace(n, p, r_max)
     elif mode == "static":
-        trace = static_convergence_traces(n, [p], r_max, budget=budget, seed=seed)[p]
+        trace = static_convergence_traces(n, [p], r_max)[p]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     rows = []

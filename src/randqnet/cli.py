@@ -22,7 +22,7 @@ import contextlib
 import json
 import math
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -36,8 +36,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_COST = 3
 EXIT_NUMERIC = 4
-
-_LOG10_2 = math.log10(2)
 
 
 class UsageError(ValueError):
@@ -79,21 +77,10 @@ def _fmt(value, precision: int) -> str:
     if type(value) is not Fraction:  # isinstance would ask the numbers ABCs, ~70 ns a float row
         return format(float(value), f".{precision}g")
     digits = max(precision, 1)
-    num, den = abs(value.numerator), value.denominator
-    if num == 0:
-        return "0"
-    # 2^(bits - 1) < |value| < 2^(bits + 1), so the decimal exponent is exp or exp + 1
-    exp = math.floor((num.bit_length() - den.bit_length() - 1) * _LOG10_2)
-    if num * 10 ** max(-exp - 1, 0) >= den * 10 ** max(exp + 1, 0):
-        exp += 1
-    shift = digits - 1 - exp  # the significand is |value| * 10^shift, rounded
-    top, bottom = num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0)
-    mant, rem = divmod(top, bottom)
-    if 2 * rem > bottom or (2 * rem == bottom and mant % 2):
-        mant += 1
-    if mant == 10 ** digits:  # rounded up to the next power of ten
-        mant, exp = mant // 10, exp + 1
-    text, sign = str(Decimal(mant)), "-" if value < 0 else ""  # str(int) refuses past 4300 digits
+    ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    rounded = ctx.divide(Decimal(value.numerator), value.denominator)  # one correctly rounded division
+    text, exp = "".join(map(str, rounded.as_tuple().digits)).ljust(digits, "0"), rounded.adjusted()
+    sign = "-" if value < 0 else ""
     if -4 <= exp < digits:  # fixed point
         whole, frac = (text[:exp + 1], text[exp + 1:]) if exp >= 0 else ("0", "0" * (-exp - 1) + text)
         frac = frac.rstrip("0")
@@ -107,7 +94,8 @@ def _fmt_fixed(value, decimals: int) -> str:
     num, den = Fraction(value).as_integer_ratio()
     whole, frac = divmod((2 * abs(num) * 10 ** decimals + den) // (2 * den), 10 ** decimals)
     sign = "-" if num < 0 else ""
-    return f"{sign}{whole}.{frac:0{decimals}d}" if decimals else f"{sign}{whole}"
+    # str(int) refuses past 4300 digits, str(Decimal(int)) does not
+    return f"{sign}{whole}.{str(Decimal(frac)).zfill(decimals)}" if decimals else f"{sign}{whole}"
 
 
 def _write_rows(rows, fieldnames: list[str], fmt: str, out_path: str | None) -> None:

@@ -239,7 +239,7 @@ def test_a8_static_convergence_floors():
     t0 = time.perf_counter()
     p_list = (0.2, 0.4, 0.6, 0.8, 0.95)
     r_max = 160
-    traces = static_convergence_traces(4, list(p_list), r_max, mode="exhaustive")
+    traces = static_convergence_traces(4, list(p_list), r_max)
     floors = {}
     for p in p_list:
         dist = [d for _, d in traces[p]]

@@ -539,9 +539,9 @@ def test_static_draw_is_refused_before_drawing(monkeypatch):
         static_convergence_traces(5, [0.5], 1, budget=10 ** 9)
     fits = ch.MEMORY_BUDGET_BYTES // 196
     with pytest.raises(CostGuardError, match="to draw"):
-        ch._static_ensembles(5, [0.5], "sampled", fits + 1, 0)  # refused before the iterator
+        ch._static_ensembles(5, [0.5], fits + 1, 0)  # refused before the iterator
     with pytest.raises(AssertionError, match="drawn"):
-        next(ch._static_ensembles(5, [0.5], "sampled", fits, 0))
+        next(ch._static_ensembles(5, [0.5], fits, 0))
 
 
 @pytest.mark.parametrize("n", (3, 4))
@@ -819,7 +819,7 @@ def test_orbit_space_distance_equals_the_dense_norm(n, n_orbits):
     np.minimum.at(low, orbit, limit)
     np.maximum.at(high, orbit, limit)
     assert np.array_equal(low, high)
-    (ens,) = ch._static_ensembles(n, [0.2, 0.95], None, 1, 0)
+    (ens,) = ch._static_ensembles(n, [0.2, 0.95], 1, 0)
     for r in range(1, 8):
         if r > 1:
             ens.step()
@@ -837,8 +837,10 @@ def test_static_trace_matches_the_dense_static_iterate():
 
 
 def test_static_average_exhaustive_cost_guard():
-    with pytest.raises(CostGuardError):
-        static_average_iterate(5, 0.5, 1, mode="exhaustive")
+    # above the exhaustive range the default 10^4 draws give ~10^4 distinct
+    # graphs at n = 5, of ~11 MB each: refused before any is built
+    with pytest.raises(CostGuardError, match="distinct graphs at n=5"):
+        static_average_iterate(5, 0.5, 1)
 
 
 def _refused_peak(call, match) -> int:
@@ -881,13 +883,18 @@ def test_evolution_entry_points_need_two_qubits():
             call()
 
 
-def test_static_paths_check_the_budget():
+def test_static_paths_check_the_budget(monkeypatch):
     # an empty sampled ensemble would average to the zero matrix; the
-    # exhaustive mode, which draws nothing, refuses it too, as the CLI does
-    for call in (lambda: static_convergence_traces(3, [0.5], 2, mode="sampled", budget=0),
-                 lambda: static_average_iterate(2, 0.5, 2, mode="sampled", budget=0),
-                 lambda: static_convergence_traces(5, [0.5], 1, budget=-1),
-                 lambda: static_average_iterate(3, 0.5, 1, budget=0)):
+    # exhaustive ensemble, which draws nothing, refuses it too, as the CLI does
+    by_n = (lambda: static_convergence_traces(5, [0.5], 1, budget=-1),  # sampled
+            lambda: static_average_iterate(3, 0.5, 1, budget=0))  # exhaustive
+    drawn_small = (lambda: static_convergence_traces(3, [0.5], 2, budget=0),
+                   lambda: static_average_iterate(2, 0.5, 2, budget=0))
+    for call in by_n:
+        with pytest.raises(ValueError, match=r"\(--budget\), got -?[01]"):
+            call()
+    monkeypatch.setattr(ch, "STATIC_EXHAUSTIVE_MAX_N", 1)  # n = 2 and 3 draw their graphs
+    for call in drawn_small:
         with pytest.raises(ValueError, match=r"\(--budget\), got -?[01]"):
             call()
 
@@ -899,15 +906,16 @@ def test_static_paths_check_p():
         static_average_iterate(3, -0.2, 1)
 
 
-def test_static_average_sampled_deterministic():
-    a = static_average_iterate(2, 0.5, 3, mode="sampled", budget=500, seed=4)
-    b = static_average_iterate(2, 0.5, 3, mode="sampled", budget=500, seed=4)
-    c = static_average_iterate(2, 0.5, 3, mode="sampled", budget=500, seed=5)
+def test_static_average_sampled_deterministic(monkeypatch):
+    exact = static_average_iterate(2, 0.5, 3)
+    monkeypatch.setattr(ch, "STATIC_EXHAUSTIVE_MAX_N", 1)  # n = 2 draws its graphs
+    a = static_average_iterate(2, 0.5, 3, budget=500, seed=4)
+    b = static_average_iterate(2, 0.5, 3, budget=500, seed=4)
+    c = static_average_iterate(2, 0.5, 3, budget=500, seed=5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     # equal-weight sample average approaches the exhaustive weighting
-    big = static_average_iterate(2, 0.5, 3, mode="sampled", budget=20_000, seed=4)
-    exact = static_average_iterate(2, 0.5, 3)
+    big = static_average_iterate(2, 0.5, 3, budget=20_000, seed=4)
     assert np.abs(big - exact).max() < 0.05
 
 

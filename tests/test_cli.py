@@ -153,6 +153,13 @@ def test_fixed_decimals_round_the_exact_value_once():
     assert _fmt_fixed(-0.125, 2) == "-0.13"
 
 
+def test_pc_table_prints_decimals_past_the_int_digit_limit(capsys):
+    # 5000 decimals are past the 4300 digits that str() of an int allows
+    code, out, _ = run_cli(capsys, "pc", "table", "--p", "1/2", "--nmax", "3", "--precision", "5000")
+    assert code == EXIT_OK
+    assert [row["p_c"] for row in parse_csv(out)] == ["0.25" + "0" * 4998, "0.28125" + "0" * 4995]
+
+
 def test_pc_curve_prints_the_digits_of_exact_values(capsys):
     # P_C(2) at p = 1/3 is 1/9; its float holds 17 digits of 1/9, then others
     code, out, _ = run_cli(capsys, "pc", "curve", "--p-list", "1/3", "--nmax", "6", "--precision", "25")
@@ -176,6 +183,11 @@ def test_exact_significant_digits_round_half_to_even():
             assert _fmt(Fraction(x), precision) == format(x, f".{precision}g"), (x, precision)
     # past the 4300 digits that str() of an int allows
     assert _fmt(Fraction(1, 9), 5000) == "0." + "1" * 5000
+    # a carry into the next power of ten, a negative value, and exponents past a float's range
+    assert _fmt(Fraction(99995, 10 ** 5), 4) == "1"
+    assert _fmt(Fraction(-1, 3), 25) == "-0." + "3" * 25
+    assert _fmt(Fraction(1, 10 ** 400), 3) == "1e-400"
+    assert _fmt(Fraction(10 ** 400, 3), 6) == "3.33333e+399"
 
 
 def test_pc_table_prints_small_values_without_exponent(capsys):
