@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import sys
@@ -349,9 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # What exists before the command, the imported modules above all, outlives it. Frozen, it is not
+    # rescanned by the collections the command triggers, whose cost then no longer depends on where
+    # in the collector's cycle the imports ended (up to 1 ms of a 2-5 ms command).
+    gc.freeze()
     try:
+        args = build_parser().parse_args(argv)
         if args.precision < 0:
             raise UsageError("--precision must be >= 0")
         return args.func(args)
@@ -364,6 +368,8 @@ def main(argv=None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
 import csv
+import gc
 import io
 import json
 import time
@@ -540,3 +541,16 @@ def test_unknown_flag_exits_two():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_main_leaves_no_object_frozen(capsys):
+    # main freezes what exists before the command only for the command's own
+    # collections; a caller's objects are collectable again once it returns
+    assert gc.get_freeze_count() == 0
+    for argv in (["pc", "table", "--nmax", "3"], ["pc", "table", "--p", "0"]):
+        main(argv)
+        assert gc.get_freeze_count() == 0
+    with pytest.raises(SystemExit):
+        main(["pc", "table", "--bogus"])
+    assert gc.get_freeze_count() == 0
+    capsys.readouterr()
