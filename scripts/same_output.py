@@ -5,10 +5,15 @@
 
 Runs each command of both workloads in ``perfbench/workloads.py`` (taken
 from CHANGE, read only), each ``randqnet ...`` line of CHANGE's README.md
-that does not write a file with ``--out``, and every ``--also`` command, as
+that does not write a file with ``--out``, the ``--help`` of every command
+path, two usage errors (``pc mc`` without its required ``--n``, the unknown
+command ``pc tabel``) and every ``--also`` command, as
 ``python -m randqnet.cli ARGS`` from each tree's root with that tree's
 ``src`` on ``PYTHONPATH``, one run at a time. The README lines reach paths
-the benchmark does not, such as the sampled static ensemble above n = 4. Prints one line per command: the
+the benchmark does not, such as the sampled static ensemble above n = 4. The
+help and usage lines show drift between the parsers of the two trees; their
+layout follows ``COLUMNS``, which both trees inherit from the same
+environment. Prints one line per command: the
 sha256 of standard output and standard error and the exit code in each
 tree, and ``same`` or ``DIFF``. A command is ``DIFF`` if anything of that
 differs, or if it exits with a code the CLI does not use (0, 2, 3 and 4),
@@ -26,6 +31,9 @@ import sys
 
 
 CLI_EXIT_CODES = (0, 2, 3, 4)
+COMMAND_PATHS = ("", "pc", "pc table", "pc curve", "pc mc", "pc bound", "evolve", "evolve dynamic",
+                 "evolve static", "asymptote")
+PARSER_COMMANDS = [[*path.split(), "--help"] for path in COMMAND_PATHS] + [["pc", "mc"], ["pc", "tabel"]]
 
 
 def run(tree: str, argv: list[str]) -> tuple[str, str, int]:
@@ -52,6 +60,7 @@ def main() -> int:
     with open(os.path.join(trees[1], "README.md"), encoding="utf-8") as fh:
         readme = [shlex.split(line, comments=True) for line in fh if line.startswith("randqnet ")]
     commands += [argv[1:] for argv in readme if "--out" not in argv]
+    commands += PARSER_COMMANDS
     commands += [shlex.split(text) for text in args.also]
     differ = 0
     for argv in commands:

@@ -5,11 +5,16 @@ a fixed flag set and seed. Probabilities may be given as exact rationals
 ("1/2") or decimals ("0.5"). ``pc table`` and ``pc curve`` take every
 P_C row from ``_checked_pc_curve``: ``connectivity.pc_curve`` computes a
 rational p exactly, in integer numerators over powers of its denominator,
-up to ``connectivity.EXACT_PC_MAX_N`` vertices and any other p in floats,
+up to ``connectivity.EXACT_PC_MAX_N`` vertices (refused with exit code 3
+past ``connectivity.EXACT_PC_MAX_BITS`` numerator bits) and any other p in floats,
 and a float curve gets one note per p on stderr, one warning line if
 values lie outside [0, 1], and exit code 4 if a value is nan or infinite.
 Beyond ``connectivity.FLOAT_PC_MAX_N`` vertices the float path refuses
 with exit code 3. An exact value prints the digits of its exact value.
+
+Each command is defined once, in ``COMMANDS``; ``main`` builds only the
+parser of the command that argv names, and the whole tree only for the
+top-level help, a command group or an unknown command.
 
 Exit codes: 0 success, 2 usage, validation or file error, 3 cost-guard
 refusal, 4 internal numerical failure.
@@ -214,28 +219,37 @@ def _cmd_pc_bound(args) -> int:
     return EXIT_OK
 
 
-def _cmd_evolve(args) -> int:
+def _evolve_args(args) -> list[connectivity.Prob]:
     p_list = _parse_prob_list(args.p_list)
     if args.n < 2:
         raise UsageError("--n must be >= 2")
     if args.rmax < 0:
         raise UsageError("--rmax must be >= 0")
+    return p_list
+
+
+def _cmd_evolve_dynamic(args) -> int:
     rows = []
-    if args.mode == "dynamic":
-        for p in p_list:
-            ps = _prob_str(p)
-            trace = channels.convergence_trace(args.n, float(p), "dynamic", args.rmax)
-            if trace[-1][0] < args.rmax:
-                print(f"note: D(r) at p = {ps} ends at r = {trace[-1][0]}: from there on max|mu|^r "
-                      "falls below the normal float range", file=sys.stderr)
-            rows.extend((ps, r, _fmt(d, args.precision)) for r, d in trace)
-    else:
-        traces = channels.static_convergence_traces(
-            args.n, [float(p) for p in p_list], args.rmax, budget=args.budget, seed=args.seed
-        )
-        for p in p_list:
-            ps = _prob_str(p)
-            rows.extend((ps, r, _fmt(d, args.precision)) for r, d in traces[float(p)])
+    for p in _evolve_args(args):
+        ps = _prob_str(p)
+        trace = channels.convergence_trace(args.n, float(p), "dynamic", args.rmax)
+        if trace[-1][0] < args.rmax:
+            print(f"note: D(r) at p = {ps} ends at r = {trace[-1][0]}: from there on max|mu|^r "
+                  "falls below the normal float range", file=sys.stderr)
+        rows.extend((ps, r, _fmt(d, args.precision)) for r, d in trace)
+    _write_rows(rows, ["p", "r", "distance"], args.format, args.out)
+    return EXIT_OK
+
+
+def _cmd_evolve_static(args) -> int:
+    p_list = _evolve_args(args)
+    traces = channels.static_convergence_traces(
+        args.n, [float(p) for p in p_list], args.rmax, budget=args.budget, seed=args.seed
+    )
+    rows = []
+    for p in p_list:
+        ps = _prob_str(p)
+        rows.extend((ps, r, _fmt(d, args.precision)) for r, d in traces[float(p)])
     _write_rows(rows, ["p", "r", "distance"], args.format, args.out)
     return EXIT_OK
 
@@ -287,66 +301,114 @@ def _add_io_flags(sp, precision=6):
     sp.add_argument("--precision", type=int, default=precision, help="output digits")
 
 
+def _pc_table_flags(sp):
+    sp.add_argument("--nmax", type=int, default=7)
+    sp.add_argument("--p", default="1/2")
+    _add_io_flags(sp, precision=4)
+
+
+def _pc_curve_flags(sp):
+    sp.add_argument("--nmax", type=int, default=50)
+    sp.add_argument("--p-list", dest="p_list", default="2/3,1/2,3/7,2/5,1/3,1/5")
+    _add_io_flags(sp)
+
+
+def _pc_mc_flags(sp):
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--p", default="1/2")
+    sp.add_argument("--samples", type=int, default=10 ** 6)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="accepted (>= 1) for old command lines; starts no thread, the chunks run in turn")
+    _add_io_flags(sp)
+
+
+def _pc_bound_flags(sp):
+    sp.add_argument("--nmax", type=int, default=50)
+    sp.add_argument("--p", default="1/2")
+    _add_io_flags(sp)
+
+
+def _evolve_flags(sp, rmax):
+    sp.add_argument("--n", type=int, default=4)
+    sp.add_argument("--p-list", dest="p_list", default="0.2,0.4,0.6,0.8,0.95")
+    sp.add_argument("--rmax", type=int, default=rmax)
+
+
+def _evolve_dynamic_flags(sp):
+    _evolve_flags(sp, rmax=1000)
+    _add_io_flags(sp)
+
+
+def _evolve_static_flags(sp):
+    _evolve_flags(sp, rmax=160)
+    sp.add_argument("--budget", type=int, default=10 ** 4,
+                    help=f"graphs drawn per p above n={channels.STATIC_EXHAUSTIVE_MAX_N}")
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    _add_io_flags(sp)
+
+
+def _asymptote_flags(sp):
+    sp.add_argument("--n", type=int, default=4)
+    sp.add_argument("--state", default="zero", help="zero | plus | mixed | coefficient file (JSON)")
+    _add_io_flags(sp)
+
+
+_PROG = "randqnet"
+_GROUPS = {
+    "pc": "strong-connectivity probabilities",
+    "evolve": "distance of iterated channels to the asymptotic map",
+}
+# Every command once: its path, its help line (None: listed without one), the function that adds its
+# flags and its handler. The order is the order of the help listings.
+COMMANDS = (
+    (("pc", "table"), "P_C(n, p) for n = 2..nmax: exact for a rational p up to nmax = "
+     f"{connectivity.EXACT_PC_MAX_N}, binary64 floats otherwise", _pc_table_flags, _cmd_pc_table),
+    (("pc", "curve"), "P_C and its lower bound over a p list", _pc_curve_flags, _cmd_pc_curve),
+    (("pc", "mc"), "Monte Carlo estimate with Wilson interval", _pc_mc_flags, _cmd_pc_mc),
+    (("pc", "bound"), "exponential lower bound on P_C", _pc_bound_flags, _cmd_pc_bound),
+    (("evolve", "dynamic"), None, _evolve_dynamic_flags, _cmd_evolve_dynamic),
+    (("evolve", "static"), None, _evolve_static_flags, _cmd_evolve_static),
+    (("asymptote",), "Pauli coefficients of the asymptotic state", _asymptote_flags, _cmd_asymptote),
+)
+
+
+def _leaf(sp, add_flags, run):
+    add_flags(sp)
+    sp.set_defaults(func=run)
+    return sp
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree, every command of ``COMMANDS`` under its path."""
     ap = argparse.ArgumentParser(
-        prog="randqnet",
-        description="Strong connectivity of random digraphs and random CNOT network dynamics",
+        prog=_PROG, description="Strong connectivity of random digraphs and random CNOT network dynamics"
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    pc = sub.add_parser("pc", help="strong-connectivity probabilities")
-    pcsub = pc.add_subparsers(dest="subcommand", required=True)
-
-    t = pcsub.add_parser("table", help="P_C(n, p) for n = 2..nmax: exact for a rational p "
-                         f"up to nmax = {connectivity.EXACT_PC_MAX_N}, binary64 floats otherwise")
-    t.add_argument("--nmax", type=int, default=7)
-    t.add_argument("--p", default="1/2")
-    _add_io_flags(t, precision=4)
-    t.set_defaults(func=_cmd_pc_table)
-
-    c = pcsub.add_parser("curve", help="P_C and its lower bound over a p list")
-    c.add_argument("--nmax", type=int, default=50)
-    c.add_argument("--p-list", dest="p_list", default="2/3,1/2,3/7,2/5,1/3,1/5")
-    _add_io_flags(c)
-    c.set_defaults(func=_cmd_pc_curve)
-
-    m = pcsub.add_parser("mc", help="Monte Carlo estimate with Wilson interval")
-    m.add_argument("--n", type=int, required=True)
-    m.add_argument("--p", default="1/2")
-    m.add_argument("--samples", type=int, default=10 ** 6)
-    m.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    m.add_argument("--threads", type=int, default=1,
-                   help="accepted (>= 1) for old command lines; starts no thread, the chunks run in turn")
-    _add_io_flags(m)
-    m.set_defaults(func=_cmd_pc_mc)
-
-    b = pcsub.add_parser("bound", help="exponential lower bound on P_C")
-    b.add_argument("--nmax", type=int, default=50)
-    b.add_argument("--p", default="1/2")
-    _add_io_flags(b)
-    b.set_defaults(func=_cmd_pc_bound)
-
-    ev = sub.add_parser("evolve", help="distance of iterated channels to the asymptotic map")
-    evsub = ev.add_subparsers(dest="subcommand", required=True)
-    for name in ("dynamic", "static"):
-        e = evsub.add_parser(name)
-        e.add_argument("--n", type=int, default=4)
-        e.add_argument("--p-list", dest="p_list", default="0.2,0.4,0.6,0.8,0.95")
-        e.add_argument("--rmax", type=int, default=160 if name == "static" else 1000)
-        if name == "static":
-            e.add_argument("--budget", type=int, default=10 ** 4,
-                           help=f"graphs drawn per p above n={channels.STATIC_EXHAUSTIVE_MAX_N}")
-            e.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        _add_io_flags(e)
-        e.set_defaults(func=_cmd_evolve, mode=name)
-
-    a = sub.add_parser("asymptote", help="Pauli coefficients of the asymptotic state")
-    a.add_argument("--n", type=int, default=4)
-    a.add_argument("--state", default="zero", help="zero | plus | mixed | coefficient file (JSON)")
-    _add_io_flags(a)
-    a.set_defaults(func=_cmd_asymptote)
-
+    subs = {(): ap.add_subparsers(dest="command", required=True)}
+    for path, help_text, add_flags, run in COMMANDS:
+        group = path[:-1]
+        if group not in subs:
+            gp = subs[()].add_parser(group[0], help=_GROUPS[group[0]])
+            subs[group] = gp.add_subparsers(dest="subcommand", required=True)
+        # add_parser(name, help=None) would still list the command, with an empty help line
+        kwargs = {"help": help_text} if help_text else {}
+        _leaf(subs[group].add_parser(path[-1], **kwargs), add_flags, run)
     return ap
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse ``argv`` with the parser of the command its first tokens name, or the whole tree if none.
+
+    A command's own parser parses as the tree would, apart from the tree's
+    ``command`` and ``subcommand`` entries; an unrecognized flag is reported
+    under the command's name.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for path, _, add_flags, run in COMMANDS:
+        if tuple(argv[:len(path)]) == path:
+            leaf = _leaf(argparse.ArgumentParser(prog=" ".join((_PROG, *path))), add_flags, run)
+            return leaf.parse_args(argv[len(path):])
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -355,7 +417,7 @@ def main(argv=None) -> int:
     # in the collector's cycle the imports ended (up to 1 ms of a 2-5 ms command).
     gc.freeze()
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
         if args.precision < 0:
             raise UsageError("--precision must be >= 0")
         return args.func(args)

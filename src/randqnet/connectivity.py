@@ -53,6 +53,9 @@ __all__ = [
 
 # Largest n for which a rational p stays on the exact path (pc_curve, pc table).
 EXACT_PC_MAX_N = 30
+# Bound on n_max * (n_max - 1) * bits(b), the size of the largest numerator of an exact table at p = a/b:
+# every b < 2^32 stays exact up to EXACT_PC_MAX_N.
+EXACT_PC_MAX_BITS = EXACT_PC_MAX_N * (EXACT_PC_MAX_N - 1) * 32
 FLOAT_PC_MAX_N = 1030  # float binomial rows C(n - 1, j) stay finite up to here
 
 
@@ -272,11 +275,19 @@ def pc_curve(n_max: int, p: Prob) -> PcCurve:
 
     A ``Fraction`` p with ``n_max <= EXACT_PC_MAX_N`` is computed exactly,
     any other p in binary64 floats; ``PcCurve.p`` is the p in the type used.
-    The argmin over the computed range breaks ties toward smaller n.
+    An exact table whose numerators would exceed ``EXACT_PC_MAX_BITS`` bits
+    is refused before any work. The argmin over the computed range breaks
+    ties toward smaller n.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     pv: Prob = p if isinstance(p, Fraction) and n_max <= EXACT_PC_MAX_N else float(p)
+    if isinstance(pv, Fraction):
+        bits = n_max * (n_max - 1) * pv.denominator.bit_length()
+        if bits > EXACT_PC_MAX_BITS:
+            raise CostGuardError(f"exact P_C to n = {n_max} at a p whose denominator has "
+                                 f"{pv.denominator.bit_length()} bits needs numerators of {bits} bits "
+                                 f"(n(n - 1) times that), over the budget of {EXACT_PC_MAX_BITS} bits")
     session = ConnectivitySession(pv)
     session.prob_strongly_connected(n_max)  # grows the tables once, in one batch
     rows = [(n, session.prob_strongly_connected(n)) for n in range(1, n_max + 1)]

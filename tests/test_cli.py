@@ -14,7 +14,9 @@ import pytest
 from randqnet import (asymptotic_state, channels, index_to_word, prob_strongly_connected, state_mixed,
                       state_plus, state_zero)
 from randqnet.channels import _average_weights
+from randqnet import cli
 from randqnet.cli import EXIT_COST, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _fmt, _fmt_fixed, main
+from randqnet.connectivity import ConnectivitySession
 from conftest import dense_cnot, link_sum_moments, ptm_of_unitary
 
 
@@ -64,6 +66,21 @@ def test_pc_table_refuses_beyond_the_float_limit_at_once(capsys):
     assert code == EXIT_COST
     assert out == ""
     assert "refused" in err and "1030" in err
+
+
+def test_exact_table_is_refused_on_the_size_of_its_numerators(capsys, monkeypatch):
+    # n(n - 1) times the bits of p's denominator bounds the numerators; the check comes before any table
+    def no_table(self, n):
+        raise RuntimeError("table work started")
+
+    monkeypatch.setattr(ConnectivitySession, "_fill", no_table)
+    code, out, err = run_cli(capsys, "pc", "table", "--p", "1/1" + "0" * 1000, "--nmax", "30")
+    assert code == EXIT_COST and out == ""
+    assert err == ("refused: exact P_C to n = 30 at a p whose denominator has 3322 bits needs numerators "
+                   "of 2890140 bits (n(n - 1) times that), over the budget of 27840 bits\n")
+    assert run_cli(capsys, "pc", "curve", "--p-list", f"1/{2 ** 32}", "--nmax", "30")[0] == EXIT_COST
+    with pytest.raises(RuntimeError, match="table work started"):  # 32 bits: inside the budget at n = 30
+        main(["pc", "table", "--p", f"1/{2 ** 32 - 1}", "--nmax", "30"])
 
 
 def test_pc_table_refuses_a_float_path_that_lost_all_precision(capsys):
@@ -534,13 +551,52 @@ def test_asymptote_above_dense_map_sizes(capsys):
     assert all(float(r["coefficient"]) == 0 for r in rows[1:])
 
 
-def test_unknown_flag_exits_two():
+def test_unknown_flag_exits_two(capsys):
     for argv in (["pc", "table", "--bogus"],
                  ["evolve", "dynamic", "--budget", "5"],
                  ["evolve", "static", "--mode", "exhaustive"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        # the parser of the command reports it, under the command's name
+        err = capsys.readouterr().err
+        assert f"{' '.join(['randqnet', *argv[:2]])}: error: unrecognized arguments: {argv[2]}" in err
+
+
+# one argv per command that sets each of its flags away from its default
+EVERY_FLAG = {
+    ("pc", "table"): "--nmax 9 --p 1/3 --out o.csv --format json --precision 2",
+    ("pc", "curve"): "--nmax 9 --p-list 1/3 --out o.csv --format json --precision 2",
+    ("pc", "mc"): "--n 6 --p 1/3 --samples 10 --seed 3 --threads 2 --out o.csv --format json --precision 2",
+    ("pc", "bound"): "--nmax 9 --p 1/3 --out o.csv --format json --precision 2",
+    ("evolve", "dynamic"): "--n 3 --p-list 1/3 --rmax 9 --out o.csv --format json --precision 2",
+    ("evolve", "static"): "--n 3 --p-list 1/3 --rmax 9 --budget 5 --seed 3 --out o.csv --format json --precision 2",
+    ("asymptote",): "--n 3 --state plus --out o.csv --format json --precision 2",
+}
+
+
+def test_every_command_parses_alone_as_in_the_whole_tree(capsys, monkeypatch):
+    assert set(EVERY_FLAG) == {path for path, *_ in cli.COMMANDS}
+    tree = cli.build_parser()
+    # a full command path never builds the tree
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("the whole tree was built"))
+    for path, flags in EVERY_FLAG.items():
+        required = ["--n", "5"] if path == ("pc", "mc") else []
+        parsed = []
+        for argv in ([*path, *required], [*path, *flags.split()]):
+            alone, whole = vars(cli.parse_args(argv)), vars(tree.parse_args(argv))
+            assert (whole.pop("command"), whole.pop("subcommand", None)) == (*path, None)[:2]
+            assert alone == whole
+            parsed.append(alone)
+        defaults, every = parsed
+        assert [k for k in defaults if defaults[k] == every[k]] == ["func"]
+        helps = []
+        for parse in (cli.parse_args, tree.parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse([*path, "--help"])
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] and helps[0].startswith(f"usage: {' '.join(['randqnet', *path])} [-h]")
 
 
 def test_main_leaves_no_object_frozen(capsys):

@@ -212,6 +212,12 @@ def test_wilson_hand_computed():
     assert (lo, hi) == pytest.approx((center - half, center + half), abs=1e-15)
 
 
+def test_wilson_z_is_the_two_sided_99_percent_normal_quantile():
+    from statistics import NormalDist
+
+    assert digraph_module._WILSON_Z == NormalDist().inv_cdf(0.995)
+
+
 def test_wilson_rejects_bad_inputs():
     with pytest.raises(ValueError):
         wilson_interval(5, 3)
