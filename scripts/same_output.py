@@ -6,8 +6,10 @@
 Runs each command of both workloads in ``perfbench/workloads.py`` (taken
 from CHANGE, read only), each ``randqnet ...`` line of CHANGE's README.md
 that does not write a file with ``--out``, the ``--help`` of every command
-path, two usage errors (``pc mc`` without its required ``--n``, the unknown
-command ``pc tabel``) and every ``--also`` command, as
+path, usage errors at every kind of node (bare ``randqnet``, ``pc`` and
+``evolve``; ``pc mc`` without its required ``--n``; the unknown command
+``pc tabel``; an unknown flag or token after a command; a flag before
+the command path) and every ``--also`` command, as
 ``python -m randqnet.cli ARGS`` from each tree's root with that tree's
 ``src`` on ``PYTHONPATH``, one run at a time. The README lines reach paths
 the benchmark does not, such as the sampled static ensemble above n = 4. The
@@ -33,7 +35,9 @@ import sys
 CLI_EXIT_CODES = (0, 2, 3, 4)
 COMMAND_PATHS = ("", "pc", "pc table", "pc curve", "pc mc", "pc bound", "evolve", "evolve dynamic",
                  "evolve static", "asymptote")
-PARSER_COMMANDS = [[*path.split(), "--help"] for path in COMMAND_PATHS] + [["pc", "mc"], ["pc", "tabel"]]
+USAGE_ERRORS = ("", "pc", "evolve", "pc mc", "pc tabel", "pc table --bogus 1", "evolve dynamic extra",
+                "asymptote pc", "--bogus pc table")
+PARSER_COMMANDS = [[*path.split(), "--help"] for path in COMMAND_PATHS] + [text.split() for text in USAGE_ERRORS]
 
 
 def run(tree: str, argv: list[str]) -> tuple[str, str, int]:

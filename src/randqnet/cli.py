@@ -13,8 +13,9 @@ Beyond ``connectivity.FLOAT_PC_MAX_N`` vertices the float path refuses
 with exit code 3. An exact value prints the digits of its exact value.
 
 Each command is defined once, in ``COMMANDS``; ``main`` builds only the
-parser of the command that argv names, and the whole tree only for the
-top-level help, a command group or an unknown command.
+parser of the deepest node that argv names: a command's own parser, or
+for the top level and a command group one parser listing the names below
+it.
 
 Exit codes: 0 success, 2 usage, validation or file error, 3 cost-guard
 refusal, 4 internal numerical failure.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import itertools
 import json
 import math
 import sys
@@ -154,17 +156,16 @@ def _checked_pc_curve(n_max: int, p) -> connectivity.PcCurve:
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_pc_table(args) -> int:
+def _cmd_pc_table(args) -> None:
     p = _parse_prob(args.p)
     if args.nmax < 2:
         raise UsageError("--nmax must be >= 2")
     curve = _checked_pc_curve(args.nmax, p)
     rows = [(n, _fmt_fixed(val, args.precision)) for n, val in curve.rows[1:]]
     _write_rows(rows, ["n", "p_c"], args.format, args.out)
-    return EXIT_OK
 
 
-def _cmd_pc_curve(args) -> int:
+def _cmd_pc_curve(args) -> None:
     p_list = _parse_prob_list(args.p_list)
     if args.nmax < 1:
         raise UsageError("--nmax must be >= 1")
@@ -184,10 +185,9 @@ def _cmd_pc_curve(args) -> int:
             all_rows.extend(rows)
     if not per_p:
         _write_rows(all_rows, ["n", "p", "p_c", "lower_bound"], args.format, args.out)
-    return EXIT_OK
 
 
-def _cmd_pc_mc(args) -> int:
+def _cmd_pc_mc(args) -> None:
     p = _parse_prob(args.p, closed=True)
     if args.n < 1:
         raise UsageError("--n must be >= 1")
@@ -204,19 +204,16 @@ def _cmd_pc_mc(args) -> int:
            _fmt(est.lo, args.precision), _fmt(est.hi, args.precision), est.confidence, args.seed)
     fields = ["n", "p", "samples", "hits", "estimate", "lo", "hi", "confidence", "seed"]
     _write_rows([row], fields, args.format, args.out)
-    return EXIT_OK
 
 
-def _cmd_pc_bound(args) -> int:
+def _cmd_pc_bound(args) -> None:
     p = _parse_prob(args.p)
     if args.nmax < 2:
         raise UsageError("--nmax must be >= 2")
-    rows = [
-        (n, _prob_str(p), _fmt(connectivity.lower_bound_pc(n, p), args.precision))
-        for n in range(2, args.nmax + 1)
-    ]
-    _write_rows(rows, ["n", "p", "lower_bound"], args.format, args.out)
-    return EXIT_OK
+    rows = ((n, _prob_str(p), _fmt(connectivity.lower_bound_pc(n, p), args.precision))
+            for n in range(2, args.nmax + 1))
+    # the first row refuses a p whose float is 0 before anything is written
+    _write_rows(itertools.chain([next(rows)], rows), ["n", "p", "lower_bound"], args.format, args.out)
 
 
 def _evolve_args(args) -> list[connectivity.Prob]:
@@ -228,7 +225,7 @@ def _evolve_args(args) -> list[connectivity.Prob]:
     return p_list
 
 
-def _cmd_evolve_dynamic(args) -> int:
+def _cmd_evolve_dynamic(args) -> None:
     rows = []
     for p in _evolve_args(args):
         ps = _prob_str(p)
@@ -238,10 +235,9 @@ def _cmd_evolve_dynamic(args) -> int:
                   "falls below the normal float range", file=sys.stderr)
         rows.extend((ps, r, _fmt(d, args.precision)) for r, d in trace)
     _write_rows(rows, ["p", "r", "distance"], args.format, args.out)
-    return EXIT_OK
 
 
-def _cmd_evolve_static(args) -> int:
+def _cmd_evolve_static(args) -> None:
     p_list = _evolve_args(args)
     traces = channels.static_convergence_traces(
         args.n, [float(p) for p in p_list], args.rmax, budget=args.budget, seed=args.seed
@@ -251,10 +247,9 @@ def _cmd_evolve_static(args) -> int:
         ps = _prob_str(p)
         rows.extend((ps, r, _fmt(d, args.precision)) for r, d in traces[float(p)])
     _write_rows(rows, ["p", "r", "distance"], args.format, args.out)
-    return EXIT_OK
 
 
-def _cmd_asymptote(args) -> int:
+def _cmd_asymptote(args) -> None:
     if args.n < 2:
         raise UsageError("--n must be >= 2")
     if args.n > 10:
@@ -274,7 +269,6 @@ def _cmd_asymptote(args) -> int:
     sigma = channels.asymptotic_state(n, rho)
     _write_rows(_coefficient_rows(sigma, n, args.precision), ["index", "word", "coefficient"],
                 args.format, args.out)
-    return EXIT_OK
 
 
 def _coefficient_rows(sigma: np.ndarray, n: int, precision: int):
@@ -355,6 +349,7 @@ def _asymptote_flags(sp):
 
 
 _PROG = "randqnet"
+_DESCRIPTION = "Strong connectivity of random digraphs and random CNOT network dynamics"
 _GROUPS = {
     "pc": "strong-connectivity probabilities",
     "evolve": "distance of iterated channels to the asymptotic map",
@@ -373,42 +368,34 @@ COMMANDS = (
 )
 
 
-def _leaf(sp, add_flags, run):
-    add_flags(sp)
-    sp.set_defaults(func=run)
-    return sp
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The whole command tree, every command of ``COMMANDS`` under its path."""
-    ap = argparse.ArgumentParser(
-        prog=_PROG, description="Strong connectivity of random digraphs and random CNOT network dynamics"
-    )
-    subs = {(): ap.add_subparsers(dest="command", required=True)}
-    for path, help_text, add_flags, run in COMMANDS:
-        group = path[:-1]
-        if group not in subs:
-            gp = subs[()].add_parser(group[0], help=_GROUPS[group[0]])
-            subs[group] = gp.add_subparsers(dest="subcommand", required=True)
-        # add_parser(name, help=None) would still list the command, with an empty help line
-        kwargs = {"help": help_text} if help_text else {}
-        _leaf(subs[group].add_parser(path[-1], **kwargs), add_flags, run)
-    return ap
-
-
 def parse_args(argv=None) -> argparse.Namespace:
-    """Parse ``argv`` with the parser of the command its first tokens name, or the whole tree if none.
+    """Parse ``argv`` with the parser of the deepest node of the command tree that its first tokens name.
 
-    A command's own parser parses as the tree would, apart from the tree's
-    ``command`` and ``subcommand`` entries; an unrecognized flag is reported
-    under the command's name.
+    The node is the root, a group (``pc``, ``evolve``) or a command of
+    ``COMMANDS``, and only its ``ArgumentParser`` is built: a command's
+    flags and handler, or the names and help lines one level below the
+    root or a group. So an unrecognized flag after a full command path is
+    reported under the command's name.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    for path, _, add_flags, run in COMMANDS:
-        if tuple(argv[:len(path)]) == path:
-            leaf = _leaf(argparse.ArgumentParser(prog=" ".join((_PROG, *path))), add_flags, run)
-            return leaf.parse_args(argv[len(path):])
-    return build_parser().parse_args(argv)
+    depth = 0
+    while depth < len(argv) and any(path[:depth + 1] == tuple(argv[:depth + 1]) for path, *_ in COMMANDS):
+        depth += 1
+    node = tuple(argv[:depth])
+    ap = argparse.ArgumentParser(prog=" ".join((_PROG, *node)), description=None if node else _DESCRIPTION)
+    below = {}
+    for path, help_text, add_flags, run in COMMANDS:
+        if path == node:
+            add_flags(ap)
+            ap.set_defaults(func=run)
+        elif path[:depth] == node:
+            below.setdefault(path[depth], help_text if len(path) == depth + 1 else _GROUPS[path[depth]])
+    if below:
+        subs = ap.add_subparsers(dest="subcommand" if node else "command", required=True)
+        for name, help_text in below.items():
+            # add_parser(name, help=None) would still list the command, with an empty help line
+            subs.add_parser(name, **({"help": help_text} if help_text else {}))
+    return ap.parse_args(argv[depth:])
 
 
 def main(argv=None) -> int:
@@ -420,7 +407,8 @@ def main(argv=None) -> int:
         args = parse_args(argv)
         if args.precision < 0:
             raise UsageError("--precision must be >= 0")
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
     except CostGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_COST

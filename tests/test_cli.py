@@ -1,10 +1,13 @@
 """Command-line interface: schemas, determinism, exit codes."""
 
+import argparse
+import contextlib
 import csv
 import gc
 import io
 import json
 import time
+import tracemalloc
 from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
@@ -333,6 +336,25 @@ def test_pc_bound_rows(capsys):
     assert float(rows[0]["lower_bound"]) == pytest.approx(0.25)
 
 
+def test_pc_bound_streams_its_rows(tmp_path, capsys):
+    # a list of 50 000 rows took 8.1 MB; streamed, the rows are written as they are made
+    out = tmp_path / "bound.csv"
+    tracemalloc.start()
+    try:
+        code = main(["pc", "bound", "--nmax", "50001", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and peak < 2 * 2 ** 20
+    lines = out.read_text().splitlines()
+    assert len(lines) == 50001
+    assert lines[-1] == f"50001,1/2,{format(1 - 50000 ** 2 * 0.75 ** 50000, '.6g')}"
+    # a p whose float is 0 is refused before the file is made
+    tiny = tmp_path / "tiny.csv"
+    code, stdout, err = run_cli(capsys, "pc", "bound", "--p", "1/10" + "0" * 400, "--out", str(tiny))
+    assert code == EXIT_USAGE and "0 < p <= 1" in err and not tiny.exists()
+
+
 def test_evolve_dynamic_rmax_zero(capsys):
     code, out, _ = run_cli(capsys, "evolve", "dynamic", "--n", "2", "--rmax", "0", "--p-list", "0.5")
     assert code == EXIT_OK
@@ -575,28 +597,58 @@ EVERY_FLAG = {
 }
 
 
-def test_every_command_parses_alone_as_in_the_whole_tree(capsys, monkeypatch):
+def test_every_flag_of_every_command_takes_effect(capsys):
     assert set(EVERY_FLAG) == {path for path, *_ in cli.COMMANDS}
-    tree = cli.build_parser()
-    # a full command path never builds the tree
-    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("the whole tree was built"))
     for path, flags in EVERY_FLAG.items():
         required = ["--n", "5"] if path == ("pc", "mc") else []
-        parsed = []
-        for argv in ([*path, *required], [*path, *flags.split()]):
-            alone, whole = vars(cli.parse_args(argv)), vars(tree.parse_args(argv))
-            assert (whole.pop("command"), whole.pop("subcommand", None)) == (*path, None)[:2]
-            assert alone == whole
-            parsed.append(alone)
-        defaults, every = parsed
+        defaults, every = (vars(cli.parse_args(argv)) for argv in ([*path, *required], [*path, *flags.split()]))
         assert [k for k in defaults if defaults[k] == every[k]] == ["func"]
-        helps = []
-        for parse in (cli.parse_args, tree.parse_args):
-            with pytest.raises(SystemExit) as exc:
-                parse([*path, "--help"])
-            assert exc.value.code == 0
-            helps.append(capsys.readouterr().out)
-        assert helps[0] == helps[1] and helps[0].startswith(f"usage: {' '.join(['randqnet', *path])} [-h]")
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args([*path, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: {' '.join(['randqnet', *path])} [-h]")
+
+
+def _parsers_built(monkeypatch, argv):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    with contextlib.suppress(SystemExit):
+        cli.parse_args(argv)
+    return len(built)
+
+
+@pytest.mark.parametrize("argv, count", [
+    ("--help", 4), ("bogus", 4), ("pc --help", 5), ("pc tabel", 5), ("evolve --help", 3),
+    *((" ".join((*path, flags)), 1) for path, flags in EVERY_FLAG.items()),
+    ("pc table --help", 1), ("pc mc", 1),
+])
+def test_only_the_named_node_is_built(monkeypatch, capsys, argv, count):
+    assert _parsers_built(monkeypatch, argv.split()) == count
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("node, names", [
+    ((), ["pc", "evolve", "asymptote"]),
+    (("pc",), ["table", "curve", "mc", "bound"]),
+    (("evolve",), ["dynamic", "static"]),
+])
+def test_root_and_group_help_list_the_names_below(monkeypatch, capsys, node, names):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per name
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args([*node, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: {' '.join(['randqnet', *node])} [-h] {{{','.join(names)}}} ...")
+    helps = {path: help_text for path, help_text, *_ in cli.COMMANDS}
+    listed = [line.split(maxsplit=1) for line in out.splitlines() if line.startswith("    ")]
+    assert listed == [[name, helps.get((*node, name)) or cli._GROUPS[name]] for name in names
+                      if helps.get((*node, name)) or name in cli._GROUPS]
 
 
 def test_main_leaves_no_object_frozen(capsys):
