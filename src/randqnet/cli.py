@@ -379,8 +379,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     depth = 0
-    while depth < len(argv) and any(path[:depth + 1] == tuple(argv[:depth + 1]) for path, *_ in COMMANDS):
-        depth += 1
+    for path, *_ in COMMANDS:
+        while depth < len(path) and path[:depth + 1] == tuple(argv[:depth + 1]):
+            depth += 1
     node = tuple(argv[:depth])
     ap = argparse.ArgumentParser(prog=" ".join((_PROG, *node)), description=None if node else _DESCRIPTION)
     below = {}
