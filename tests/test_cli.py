@@ -628,9 +628,8 @@ def _parsers_built(monkeypatch, argv):
     *((" ".join((*path, flags)), 1) for path, flags in EVERY_FLAG.items()),
     ("pc table --help", 1), ("pc mc", 1),
 ])
-def test_only_the_named_node_is_built(monkeypatch, capsys, argv, count):
+def test_only_the_named_node_is_built(monkeypatch, argv, count):
     assert _parsers_built(monkeypatch, argv.split()) == count
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("node, names", [
@@ -645,10 +644,11 @@ def test_root_and_group_help_list_the_names_below(monkeypatch, capsys, node, nam
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith(f"usage: {' '.join(['randqnet', *node])} [-h] {{{','.join(names)}}} ...")
-    helps = {path: help_text for path, help_text, *_ in cli.COMMANDS}
+    help_of = {path: help_text for path, help_text, *_ in cli.COMMANDS}
+    expected = [[name, help_of.get((*node, name)) or cli._GROUPS.get(name)] for name in names]
     listed = [line.split(maxsplit=1) for line in out.splitlines() if line.startswith("    ")]
-    assert listed == [[name, helps.get((*node, name)) or cli._GROUPS[name]] for name in names
-                      if helps.get((*node, name)) or name in cli._GROUPS]
+    # a command without a help line shows only in the {...} of the usage line
+    assert listed == [row for row in expected if row[1]]
 
 
 def test_main_leaves_no_object_frozen(capsys):
